@@ -19,7 +19,7 @@ from .decomp import (Decomposition, ExplicitGraph, check_walk, comp,
 from .errors import (BadStartLengthError, BudgetExceededError,
                      CapExceededError, CompositionUndefinedError,
                      DimensionCapError, EmptyPatternError, NotATraceError,
-                     NotAWalkError, OutOfRangeError)
+                     NotAWalkError, OutOfRangeError, WitnessError)
 from .linarith import (Feasibility, LinearSystem, build_balance_system,
                        build_psi_branches, build_pumping_system,
                        homogeneous_nontrivial, ilp_feasible, solve_system)
@@ -50,5 +50,6 @@ __all__ = [
     "ilp_feasible", "is_cycle", "is_member", "is_path", "is_trace",
     "mtrace", "occ_vector", "pref_suff", "realize_walk", "solve_system",
     "suffix_indicator", "to_dot", "trace", "walk_occ", "walk_of_word",
-    "witness_family", "word_from_str", "word_of_walk", "word_to_str",
+    "WitnessError", "witness_family", "word_from_str", "word_of_walk",
+    "word_to_str",
 ]

@@ -12,18 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 
-from .debruijn import DEFAULT_MAX_VERTICES, build, to_dot, walk_of_word
+from .debruijn import (DEFAULT_MAX_VERTICES, OccTable, build, to_dot,
+                       walk_of_word)
 from .decide import (Caps, decide_equivalence, decide_finiteness, timed,
                      witness_family)
 from .decomp import dec
-from .errors import BudgetExceededError, DimensionCapError
+from .errors import BudgetExceededError, DimensionCapError, WitnessError
 from .linarith import (DEFAULT_NODE_BUDGET, build_balance_system,
-                       build_psi_branches, build_pumping_system)
+                       build_psi_branches, build_pumping_system,
+                       is_pumping_witness)
 from .oracle import DEFAULT_WORD_BUDGET, census, enumerate_members
-from .traces import (DEFAULT_MAX_CYCLES_PER_TRACE, DEFAULT_MAX_TRACES,
-                     enumerate_traces)
+from .traces import DEFAULT_MAX_CYCLES_PER_TRACE, DEFAULT_MAX_TRACES
 from .words import (Alphabet, ParamList, is_member, occ_vector,
                     word_from_str, word_to_str)
 
@@ -94,15 +94,19 @@ def _build_parser() -> _Parser:
     finite = subs.add_parser(
         "finite",
         help="decide whether M(w1,...,wk) is infinite",
-        description="Streams the traces of the de Bruijn graph and "
-                    "early-exits on the first one whose balance and "
-                    "pumping systems are both feasible.")
+        description="Answers finite at once when no combination of "
+                    "cycles pumps; otherwise streams the traces with "
+                    "cycles of the de Bruijn graph and early-exits on the "
+                    "first one whose balance and pumping systems are both "
+                    "feasible.")
     finite.add_argument("--alphabet", required=True)
     finite.add_argument("words", help="comma-separated parameter words")
     finite.add_argument("--json", action="store_true")
     finite.add_argument("--dump-systems", action="store_true",
-                        help="print the linear systems of every checked "
-                             "trace as JSON lines before the verdict")
+                        help="print the linear systems of every trace the "
+                             "decision checks, as JSON lines before the "
+                             "verdict (none when no cycle combination "
+                             "pumps)")
     _add_cap_flags(finite)
     finite.set_defaults(func=_cmd_finite)
 
@@ -174,53 +178,52 @@ def _build_parser() -> _Parser:
 # subcommand bodies
 
 
-def _dump_finite_systems(p: ParamList, caps: Caps, count: int) -> None:
-    g = build(p.alphabet, p.max_len, max_vertices=caps.max_vertices)
-    gen = enumerate_traces(g,
-                           max_cycles_per_trace=caps.max_cycles_per_trace,
-                           max_traces=caps.max_traces,
-                           max_cycles=caps.max_cycles)
-    for T in islice(gen, count):
-        entry = {"trace": _trace_words(g, T),
-                 "balance": build_balance_system(T, p).to_json_dict(),
-                 "pumping_rows": [list(r)
-                                  for r in build_pumping_system(T, p)]}
+def _finite_dumper(p: ParamList, caps: Caps):
+    """on_trace hook printing the systems of each trace the decision checks."""
+    table = OccTable(build(p.alphabet, p.max_len,
+                           max_vertices=caps.max_vertices), p)
+
+    def dump(T) -> None:
+        entry = {"trace": _trace_words(table.g, T),
+                 "balance":
+                     build_balance_system(T, p, table).to_json_dict(),
+                 "pumping_rows": [list(r) for r in
+                                  build_pumping_system(T, p, table)]}
         print(json.dumps(entry, sort_keys=True))
+    return dump
 
 
-def _dump_equiv_systems(p1: ParamList, p2: ParamList, caps: Caps,
-                        count: int) -> None:
+def _equiv_dumper(p1: ParamList, p2: ParamList, caps: Caps):
+    """on_trace hook printing the negation branches of each checked trace."""
     dim = max(p1.max_len, p2.max_len)
     g = build(p1.alphabet, dim, max_vertices=caps.max_vertices)
-    gen = enumerate_traces(g,
-                           max_cycles_per_trace=caps.max_cycles_per_trace,
-                           max_traces=caps.max_traces,
-                           max_cycles=caps.max_cycles)
-    for T in islice(gen, count):
+    tables = (OccTable(g, p1), OccTable(g, p2))
+
+    def dump(T) -> None:
         entry = {"trace": _trace_words(g, T),
-                 "branches": [b.to_json_dict()
-                              for b in build_psi_branches(T, p1, p2)]}
+                 "branches": [b.to_json_dict() for b in
+                              build_psi_branches(T, p1, p2, tables)]}
         print(json.dumps(entry, sort_keys=True))
+    return dump
 
 
 def _validate_finiteness_certificate(cert, p: ParamList) -> None:
-    balance = build_balance_system(cert.trace, p)
-    if not balance.satisfied_by(cert.x):
-        raise AssertionError("balance witness failed re-validation")
-    rows = build_pumping_system(cert.trace, p)
-    if not any(cert.y) or any(v < 0 for v in cert.y):
-        raise AssertionError("pumping witness failed re-validation")
-    if any(sum(a * v for a, v in zip(row, cert.y)) != 0 for row in rows):
-        raise AssertionError("pumping witness failed re-validation")
+    if not build_balance_system(cert.trace, p).satisfied_by(cert.x):
+        raise WitnessError("balance witness failed re-validation")
+    if not is_pumping_witness(build_pumping_system(cert.trace, p), cert.y):
+        raise WitnessError("pumping witness failed re-validation")
+
+
+def _finite_line(p: ParamList, verdict) -> str:
+    return f"finite (N={p.max_len}, {verdict.reason})"
 
 
 def _cmd_finite(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     p = _parse_words(alphabet, args.words)
     caps = _caps_from(args)
-    verdict, ms = timed(decide_finiteness, p, caps)
-    if args.dump_systems:
-        _dump_finite_systems(p, caps, verdict.traces_checked)
+    on_trace = _finite_dumper(p, caps) if args.dump_systems else None
+    verdict, ms = timed(decide_finiteness, p, caps, on_trace=on_trace)
     if verdict.certificate is not None:
         _validate_finiteness_certificate(verdict.certificate, p)
     if args.json:
@@ -237,7 +240,7 @@ def _cmd_finite(args) -> int:
         print(f"  pumping y: {cert.y}")
         print(f"  example member: {word_to_str(sample)!r}")
     elif verdict.verdict == "finite":
-        print(f"finite (N={p.max_len}, all traces exhausted)")
+        print(_finite_line(p, verdict))
     else:
         print(f"unknown ({verdict.cap})")
     return {"infinite": EXIT_TRUE, "finite": EXIT_FALSE,
@@ -249,14 +252,13 @@ def _cmd_equiv(args) -> int:
     p1 = _parse_words(alphabet, args.list1)
     p2 = _parse_words(alphabet, args.list2)
     caps = _caps_from(args)
-    verdict, ms = timed(decide_equivalence, p1, p2, caps)
-    if args.dump_systems:
-        _dump_equiv_systems(p1, p2, caps, verdict.traces_checked)
+    on_trace = _equiv_dumper(p1, p2, caps) if args.dump_systems else None
+    verdict, ms = timed(decide_equivalence, p1, p2, caps, on_trace=on_trace)
     if verdict.witness is not None:
         in1 = is_member(verdict.witness, p1)
         in2 = is_member(verdict.witness, p2)
         if in1 == in2:
-            raise AssertionError("witness word failed re-validation")
+            raise WitnessError("witness word failed re-validation")
     if args.json:
         print(json.dumps(verdict.to_json_dict(ms), sort_keys=True))
     elif verdict.verdict == "equal":
@@ -298,7 +300,7 @@ def _cmd_witness(args) -> int:
         if args.json:
             print(json.dumps(verdict.to_json_dict(p, ms), sort_keys=True))
         elif verdict.verdict == "finite":
-            print(f"finite (N={p.max_len}, all traces exhausted)")
+            print(_finite_line(p, verdict))
         else:
             print(f"unknown ({verdict.cap})")
         return (EXIT_FALSE if verdict.verdict == "finite"

@@ -137,6 +137,52 @@ def walk_occ(g: DeBruijnGraph, walk: Walk, params: ParamList) -> OccVector:
     return tuple(counts)
 
 
+class OccTable:
+    """Occurrence vectors of one parameter list along the walks of one graph.
+
+    Built once per decision: the suffix indicator of every vertex, then,
+    cached on first use, one column per cycle and one constant per path.
+    column(w) equals walk_occ(g, w, params) and const(path) equals
+    occ(start word) + walk_occ(g, path, params), so every trace sharing a
+    cycle or a path reuses its sum. Walks are taken as given (traces come
+    from enumeration); walk_occ is the checked reference.
+    """
+
+    def __init__(self, g: DeBruijnGraph, params: ParamList):
+        if params.max_len > g.dim:
+            raise ValueError(
+                f"parameter words of length {params.max_len} do not fit in "
+                f"a dimension-{g.dim} window")
+        self.g = g
+        self.params = params
+        self._zero = (0,) * params.k
+        self._ind = tuple(suffix_indicator(g.vertex_word(v), params)
+                          for v in g.vertices())
+        self._columns: dict[Walk, OccVector] = {}
+        self._consts: dict[Walk, OccVector] = {}
+
+    def _sum(self, walk: Walk) -> OccVector:
+        ind = self._ind
+        counts = list(self._zero)
+        for v in walk[1:]:
+            for i, c in enumerate(ind[v]):
+                counts[i] += c
+        return tuple(counts)
+
+    def column(self, walk: Walk) -> OccVector:
+        col = self._columns.get(walk)
+        if col is None:
+            col = self._columns[walk] = self._sum(walk)
+        return col
+
+    def const(self, path: Walk) -> OccVector:
+        const = self._consts.get(path)
+        if const is None:
+            start = occ_vector(self.g.vertex_word(path[0]), self.params)
+            const = self._consts[path] = add_vectors(start, self._sum(path))
+        return const
+
+
 def occ_additivity_check(g: DeBruijnGraph, start: Word, word: Word,
                          params: ParamList) -> bool:
     """Test helper: does occ(start.word) equal occ(start) + walk_occ(walk)?"""

@@ -6,20 +6,30 @@ whose balance and pumping systems are both feasible; equivalence must
 exhaust the traces, refuting every negation branch, before it may answer
 Equal. Caps and solver budgets surface as an Unknown verdict, never as a
 silently weakened answer.
+
+Each decision builds its graph once, plus one OccTable per parameter
+list, and assembles every per-trace system from them. Finiteness also
+applies three rules, each argued where it is implemented: (a) one
+pumping LP over all cycles can refute every trace at once
+(_TraceChecker.refutes_all), (b) cycle-free traces are not streamed
+(decide_finiteness), and (c) pumping and balance solves are memoised on
+a key that forgets the order of the cycles (_TraceChecker).
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .debruijn import (DEFAULT_MAX_VERTICES, DeBruijnGraph, build,
+from .debruijn import (DEFAULT_MAX_VERTICES, DeBruijnGraph, OccTable, build,
                        word_of_walk)
 from .decomp import comp
-from .errors import BudgetExceededError, CapExceededError
+from .errors import BudgetExceededError, CapExceededError, WitnessError
 from .linarith import (DEFAULT_NODE_BUDGET, build_balance_system,
                        build_psi_branches, build_pumping_system,
-                       homogeneous_nontrivial, solve_system)
+                       homogeneous_nontrivial, is_pumping_witness,
+                       pumping_rows, solve_system)
 from .traces import (DEFAULT_MAX_CYCLES, DEFAULT_MAX_CYCLES_PER_TRACE,
                      DEFAULT_MAX_TRACES, OrderedTrace, enumerate_traces)
 from .words import ParamList, Word, is_member, word_to_str
@@ -55,8 +65,16 @@ class FinitenessCertificate:
 class FinitenessVerdict:
     verdict: str  # "infinite" | "finite" | "unknown"
     certificate: FinitenessCertificate | None
-    traces_checked: int
+    traces_checked: int  # traces with at least one cycle that were checked
     cap: str | None = None
+    pruned: bool = False  # finite by rule (a), before any trace
+
+    @property
+    def reason(self) -> str:
+        """Why a finite verdict holds, in words."""
+        if self.pruned:
+            return "no cycle combination pumps"
+        return "all traces exhausted"
 
     def to_json_dict(self, p: ParamList, elapsed_ms: float) -> dict:
         cert = None
@@ -74,6 +92,7 @@ class FinitenessVerdict:
             "verdict": self.verdict,
             "certificate": cert,
             "stats": {"traces_checked": self.traces_checked,
+                      "pruned": self.pruned,
                       "elapsed_ms": elapsed_ms},
         }
 
@@ -115,42 +134,151 @@ def _trace_json(g: DeBruijnGraph, T: OrderedTrace) -> dict:
             "cycles": [[word(v) for v in cyc] for cyc in T.cycles]}
 
 
+def _columns(rows, m: int) -> list[tuple[int, ...]]:
+    """The m columns of rows; empty tuples when there are no rows (k = 1)."""
+    return list(zip(*rows)) if rows else [()] * m
+
+
+class _TraceChecker:
+    """check_trace for one decision: one OccTable, one solve memo.
+
+    Rule (c), the per-decision memo. The pumping question, a nonzero
+    y >= 0 with A y = 0, depends only on the set of distinct columns of
+    A: a solution over the distinct columns is one over the trace once
+    each column's weight goes to its first cycle and repeats get 0, and
+    summing a trace's solution over equal columns gives one over the
+    distinct set. The balance question, x >= 1 with B x = r, depends only
+    on r and the multiset of columns of B: the lower bounds are all 1,
+    so permuting the cycles permutes the solutions. Each solve is cached
+    on that key, and a cached witness is mapped to the trace's own cycle
+    order and re-checked against the trace's own system before use. A
+    solve that runs out of budget is not cached, so a later trace with
+    the same key tries again, as it would without the memo. Each cache
+    holds one entry per distinct system met and lives as long as the
+    decision.
+    """
+
+    def __init__(self, g: DeBruijnGraph, p: ParamList, node_budget: int):
+        self.p = p
+        self.table = OccTable(g, p)
+        self.node_budget = node_budget
+        self.pruned = False
+        # distinct pumping columns -> weight per column, or None
+        self._pumps: dict[tuple, dict | None] = {}
+        # (rhs, sorted balance columns) -> witness in that order, or None
+        self._balances: dict[tuple, tuple | None] = {}
+
+    def refutes_all(self, cycles) -> bool:
+        """Rule (a), the all-cycles pumping prune: True when no trace can
+        pump, and so none can carry a certificate.
+
+        Soundness: a trace's cycles are rooted simple cycles of g, so its
+        pumping matrix is a column subset of the one over all of them. A
+        nonzero y >= 0 in the kernel of the subset, padded with zeros, is
+        one of the whole. So if the LP over the distinct columns of all
+        cycles is infeasible, every trace fails its pumping test and M(p)
+        is finite, whatever the trace caps would have cut off.
+        """
+        rows = pumping_rows([self.table.column(c) for c in cycles], self.p.k)
+        self.pruned = self._pump_weights(_columns(rows, len(cycles))) is None
+        return self.pruned
+
+    def _pump_weights(self, cols) -> dict | None:
+        """A nonzero y >= 0 over the distinct columns, as column -> weight,
+        or None when there is none; memoised on the set of columns."""
+        key = tuple(sorted(set(cols)))
+        if key not in self._pumps:
+            result = homogeneous_nontrivial(tuple(zip(*key)), len(key))
+            self._pumps[key] = (dict(zip(key, result.witness))
+                                if result.feasible else None)
+        return self._pumps[key]
+
+    def _pumping(self, T: OrderedTrace) -> tuple[int, ...] | None:
+        rows = build_pumping_system(T, self.p, table=self.table)
+        cols = _columns(rows, len(T.cycles))
+        weights = self._pump_weights(cols)
+        if weights is None:
+            return None
+        seen = set()
+        y = []
+        for c in cols:
+            y.append(0 if c in seen else weights[c])
+            seen.add(c)
+        if not is_pumping_witness(rows, y):
+            raise WitnessError("memoised pumping witness failed its re-check")
+        return tuple(y)
+
+    def _balance(self, T: OrderedTrace) -> tuple[int, ...] | None:
+        system = build_balance_system(T, self.p, table=self.table)
+        cols = _columns(system.coeffs, len(T.cycles))
+        order = sorted(range(len(cols)), key=cols.__getitem__)
+        key = (system.rhs, tuple(cols[i] for i in order))
+        if key not in self._balances:
+            result = solve_system(system, node_budget=self.node_budget)
+            self._balances[key] = (tuple(result.witness[i] for i in order)
+                                   if result.feasible else None)
+        canon = self._balances[key]
+        if canon is None:
+            return None
+        x = [0] * len(cols)
+        for i, v in zip(order, canon):
+            x[i] = v
+        if not system.satisfied_by(x):
+            raise WitnessError("memoised balance witness failed its re-check")
+        return tuple(x)
+
+    def check(self, T: OrderedTrace) -> FinitenessCertificate | None:
+        if not T.cycles:
+            return None
+        y = self._pumping(T)
+        if y is None:
+            return None
+        x = self._balance(T)
+        if x is None:
+            return None
+        return FinitenessCertificate(T, x, y)
+
+
 def check_trace(T: OrderedTrace, p: ParamList, *,
                 node_budget: int = DEFAULT_NODE_BUDGET
                 ) -> FinitenessCertificate | None:
     """Certificate for T if it satisfies both conditions, else None.
 
-    The pumping test is a rational feasibility question and runs first;
-    the balance test is the integer one and only runs when pumping holds.
+    A trace without cycles has nothing to pump and gets None. The pumping
+    test is a rational feasibility question and runs first; the balance
+    test is the integer one and only runs when pumping holds.
     """
-    m = len(T.cycles)
-    if m == 0:
-        return None
-    pump = homogeneous_nontrivial(build_pumping_system(T, p), m)
-    if not pump.feasible:
-        return None
-    balance = solve_system(build_balance_system(T, p),
-                           node_budget=node_budget)
-    if not balance.feasible:
-        return None
-    return FinitenessCertificate(T, balance.witness, pump.witness)
+    return _TraceChecker(_graph_for(p), p, node_budget).check(T)
 
 
-def decide_finiteness(p: ParamList,
-                      caps: Caps = DEFAULT_CAPS) -> FinitenessVerdict:
-    """Infinite with a certificate, Finite after exhausting all traces,
-    or Unknown when a cap or budget interfered."""
+def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
+                      on_trace: Callable[[OrderedTrace], None] | None = None
+                      ) -> FinitenessVerdict:
+    """Infinite with a certificate; Finite when rule (a) refutes every
+    trace at once or the stream is exhausted; or Unknown when a cap or
+    budget interfered.
+
+    Rule (b): the stream starts at cycle-set size 1. A cycle-free trace
+    realises a single word, so check_trace refuses it, and skipping it
+    loses no certificate. traces_checked therefore counts traces with
+    cycles only. on_trace, if given, is called with every trace checked,
+    in order, before it is checked.
+    """
     g = _graph_for(p, max_vertices=caps.max_vertices)
+    checker = _TraceChecker(g, p, caps.node_budget)
     checked = 0
     budget_hit: str | None = None
     gen = enumerate_traces(g,
                            max_cycles_per_trace=caps.max_cycles_per_trace,
                            max_traces=caps.max_traces,
-                           max_cycles=caps.max_cycles)
+                           max_cycles=caps.max_cycles,
+                           min_cycles=1, prune=checker.refutes_all)
     while True:
         try:
             T = next(gen)
         except StopIteration:
+            if checker.pruned:
+                return FinitenessVerdict("finite", None, checked, pruned=True)
             if budget_hit is not None:
                 return FinitenessVerdict("unknown", None, checked,
                                          cap=budget_hit)
@@ -158,8 +286,10 @@ def decide_finiteness(p: ParamList,
         except CapExceededError as e:
             return FinitenessVerdict("unknown", None, checked, cap=str(e))
         checked += 1
+        if on_trace is not None:
+            on_trace(T)
         try:
-            cert = check_trace(T, p, node_budget=caps.node_budget)
+            cert = checker.check(T)
         except BudgetExceededError as e:
             # this trace stays undecided; keep hunting for a certificate,
             # but a later exhaustion can no longer claim Finite
@@ -195,7 +325,8 @@ def witness_family(cert: FinitenessCertificate, p: ParamList,
     exponents = [x + max(n - 1, 0) * y for x, y in zip(cert.x, cert.y)]
     walk = realize_walk(g, cert.trace, exponents)
     word = word_of_walk(g, walk)
-    assert is_member(word, p), "pumped word failed the membership re-check"
+    if not is_member(word, p):
+        raise WitnessError("pumped word failed the membership re-check")
     return word
 
 
@@ -215,13 +346,16 @@ def canonical_certificate(candidates):
 
 
 def decide_equivalence(p1: ParamList, p2: ParamList,
-                       caps: Caps = DEFAULT_CAPS) -> EquivalenceVerdict:
+                       caps: Caps = DEFAULT_CAPS, *,
+                       on_trace: Callable[[OrderedTrace], None] | None = None
+                       ) -> EquivalenceVerdict:
     """Equal, NotEqual with a distinguishing word, or Unknown.
 
     Phase 1 compares memberships on every word shorter than the graph
     dimension. Phase 2 streams traces and tries to refute the per-trace
     agreement; any feasible negation branch is turned into a concrete
-    word and re-validated before it is believed.
+    word and re-validated before it is believed. on_trace, if given, is
+    called with every trace checked, in order, before it is checked.
     """
     if p1.alphabet != p2.alphabet:
         raise ValueError("parameter lists must share an alphabet")
@@ -234,6 +368,7 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
         if in1 != in2:
             return EquivalenceVerdict("not_equal", w, 1 if in1 else 2, 0)
 
+    tables = (OccTable(g, p1), OccTable(g, p2))
     checked = 0
     budget_hit: str | None = None
     gen = enumerate_traces(g,
@@ -252,7 +387,9 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
             return EquivalenceVerdict("unknown", None, None, checked,
                                       cap=str(e))
         checked += 1
-        for branch in build_psi_branches(T, p1, p2):
+        if on_trace is not None:
+            on_trace(T)
+        for branch in build_psi_branches(T, p1, p2, tables=tables):
             try:
                 result = solve_system(branch, node_budget=caps.node_budget)
             except BudgetExceededError as e:
@@ -265,7 +402,7 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
             in1 = is_member(word, p1)
             in2 = is_member(word, p2)
             if in1 == in2:
-                raise AssertionError(
+                raise WitnessError(
                     f"branch witness {word_to_str(word)} does not separate "
                     f"the languages (branch {branch.label!r})")
             return EquivalenceVerdict("not_equal", word, 1 if in1 else 2,

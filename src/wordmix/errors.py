@@ -40,3 +40,8 @@ class CapExceededError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """Solver ran out of nodes before reaching a verdict."""
+
+
+class WitnessError(RuntimeError):
+    """A witness failed its exact re-check against the system or language it
+    claims to satisfy. Raised explicitly, so the check also runs under -O."""

@@ -8,9 +8,12 @@ float enters any verdict. The solver stack, cheapest first:
      elimination plus forward substitution with divisibility tests),
   3. interval propagation over the variable boxes,
   4. branch-and-bound on a phase-1 rational LP relaxation, complete
-     thanks to the classical small-solution bound for integer programs.
+     thanks to the classical small-solution bound for integer programs;
+     when its first, narrow round fails, one LP over the whole rational
+     relaxation refutes most infeasible systems before any wider round.
 
-Feasible answers always carry a witness that is re-checked exactly;
+Feasible answers always carry a witness that is re-checked exactly, by
+explicit checks that raise WitnessError and so also run under python -O;
 running out of node budget raises BudgetExceededError instead of
 guessing.
 """
@@ -21,8 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .debruijn import DeBruijnGraph, build, walk_occ
-from .errors import BudgetExceededError
+from .debruijn import DeBruijnGraph, OccTable, build, walk_occ
+from .errors import BudgetExceededError, WitnessError
 from .traces import OrderedTrace
 from .words import ParamList, add_vectors, occ_vector
 
@@ -97,6 +100,18 @@ class Feasibility:
 
 
 INFEASIBLE = Feasibility(False, None)
+
+
+def _require(ok: bool, what: str) -> None:
+    """Witness re-check that, unlike assert, also runs under python -O."""
+    if not ok:
+        raise WitnessError(f"{what} failed its exact re-check")
+
+
+def is_pumping_witness(rows, y) -> bool:
+    """Whether y is a nonzero nonnegative integer kernel vector of rows."""
+    return (any(y) and all(v >= 0 for v in y)
+            and all(sum(a * v for a, v in zip(row, y)) == 0 for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +266,10 @@ def _lattice_solve(rows, rhs):
     x0 = [sum(transform[i][col] * assigned[col] for col in assigned)
           for i in range(n)]
     kernel = [[transform[i][j] for i in range(n)] for j in range(rank, n)]
-    assert all(sum(a * v for a, v in zip(row, x0)) == b
-               for row, b in zip(rows, rhs))
-    assert all(sum(a * v for a, v in zip(row, vec)) == 0
-               for row in rows for vec in kernel)
+    _require(all(sum(a * v for a, v in zip(row, x0)) == b
+                 for row, b in zip(rows, rhs)), "lattice particular solution")
+    _require(all(sum(a * v for a, v in zip(row, vec)) == 0
+                 for row in rows for vec in kernel), "lattice kernel basis")
     return x0, kernel
 
 
@@ -396,9 +411,10 @@ def _search_box(rows, rhs, n, cap, allowance):
             # the LP rows are exactly the equalities, so an integral
             # point is already a witness; the box only steers the search
             z = [int(v) for v in point]
-            assert all(v >= 0 for v in z)
-            assert all(sum(a * v for a, v in zip(row, z)) == b
-                       for row, b in zip(rows, rhs))
+            _require(all(v >= 0 for v in z)
+                     and all(sum(a * v for a, v in zip(row, z)) == b
+                             for row, b in zip(rows, rhs)),
+                     "integral LP point")
             return "sat", z, nodes
         split = math.floor(point[frac])
         split = min(max(split, lo[frac]), hi[frac] - 1)
@@ -411,8 +427,11 @@ def _search_box(rows, rhs, n, cap, allowance):
     return "unsat", None, nodes
 
 
-def _solve_nonneg(x0, kernel, node_budget):
+def _solve_nonneg(x0, kernel, node_budget, system):
     """Find z >= 0 in the integer lattice x0 + span_Z(kernel), or None.
+
+    system is the (rows, rhs) pair whose integer solutions the lattice
+    parametrizes, for the rational relaxation check below.
 
     The equalities are already absorbed into the lattice, so only sign
     constraints remain: find integer t with x0 + K.t >= 0 componentwise.
@@ -425,6 +444,11 @@ def _solve_nonneg(x0, kernel, node_budget):
     cheap rounds, and only the final round (wide enough for the
     completeness bound) can conclude infeasibility. Rounds share the
     node budget; a non-final round that stalls is abandoned early.
+
+    An integer solution is a rational one. So when the cheap first round
+    finds none, one rational LP over system runs before any wider round:
+    if it is infeasible, so is the lattice search, which could only have
+    concluded that in its final, widest round.
     """
     if all(v >= 0 for v in x0):
         return list(x0)
@@ -447,7 +471,7 @@ def _solve_nonneg(x0, kernel, node_budget):
                             2 * d + len(keep))
     width = d + len(keep)
     remaining = node_budget
-    cap = min(16, 2 * bound)
+    cap = first_cap = min(16, 2 * bound)
     while True:
         shift = cap // 2
         rows = []
@@ -466,9 +490,11 @@ def _solve_nonneg(x0, kernel, node_budget):
             t = [v - shift for v in sol[:d]]
             z = [x0[i] + sum(kernel[j][i] * t[j] for j in range(d))
                  for i in range(n)]
-            assert all(v >= 0 for v in z)
+            _require(all(v >= 0 for v in z), "nonnegative lattice point")
             return z
         if final and status == "unsat":
+            return None
+        if cap == first_cap and not final and _phase1(*system) is None:
             return None
         if remaining <= 0:
             raise BudgetExceededError(
@@ -537,18 +563,18 @@ def solve_system(system: LinearSystem, *,
 
     if not kept_rows:
         witness = tuple(system.lower)
-        assert system.satisfied_by(witness)
+        _require(system.satisfied_by(witness), "lower-bound witness")
         return Feasibility(True, witness)
 
     lattice = _lattice_solve(kept_rows, kept_rhs)
     if lattice is None:
         return INFEASIBLE
 
-    z = _solve_nonneg(*lattice, node_budget)
+    z = _solve_nonneg(*lattice, node_budget, (kept_rows, kept_rhs))
     if z is None:
         return INFEASIBLE
     witness = tuple(zj + lj for zj, lj in zip(z[:n], system.lower[:n]))
-    assert system.satisfied_by(witness)
+    _require(system.satisfied_by(witness), "system witness")
     return Feasibility(True, witness)
 
 
@@ -576,8 +602,7 @@ def homogeneous_nontrivial(coeffs, n_vars: int | None = None) -> Feasibility:
     g = math.gcd(*(abs(v) for v in y))
     if g > 1:
         y = [v // g for v in y]
-    assert any(y) and all(v >= 0 for v in y)
-    assert all(sum(a * v for a, v in zip(row, y)) == 0 for row in coeffs)
+    _require(is_pumping_witness(coeffs, y), "homogeneous witness")
     return Feasibility(True, tuple(y))
 
 
@@ -589,19 +614,28 @@ def _graph_for(params: ParamList, dim: int | None = None) -> DeBruijnGraph:
     return build(params.alphabet, dim if dim is not None else params.max_len)
 
 
-def _trace_vectors(g: DeBruijnGraph, T: OrderedTrace, params: ParamList):
-    """Constant vector of the trace and one occurrence vector per cycle."""
+def _trace_vectors(T: OrderedTrace, params: ParamList,
+                   table: OccTable | None = None, dim: int | None = None):
+    """Constant vector of the trace and one occurrence vector per cycle.
+
+    A decision passes its OccTable, which sums each path and cycle once.
+    Without one they are counted afresh with walk_occ on a newly built
+    graph, the checked reference the table must agree with.
+    """
+    if table is not None:
+        return table.const(T.path), [table.column(c) for c in T.cycles]
+    g = _graph_for(params, dim)
     start = occ_vector(g.vertex_word(T.path[0]), params)
     const = add_vectors(start, walk_occ(g, T.path, params))
     columns = [walk_occ(g, cyc, params) for cyc in T.cycles]
     return const, columns
 
 
-def build_balance_system(T: OrderedTrace, p: ParamList) -> LinearSystem:
+def build_balance_system(T: OrderedTrace, p: ParamList,
+                         table: OccTable | None = None) -> LinearSystem:
     """Equalities forcing all occurrence components of the pumped family
     to agree, with every cycle multiplicity at least 1."""
-    g = _graph_for(p)
-    const, cols = _trace_vectors(g, T, p)
+    const, cols = _trace_vectors(T, p, table)
     k = p.k
     m = len(cols)
     coeffs = []
@@ -613,19 +647,23 @@ def build_balance_system(T: OrderedTrace, p: ParamList) -> LinearSystem:
                         (1,) * m, label="balance")
 
 
-def build_pumping_system(T: OrderedTrace, p: ParamList):
+def build_pumping_system(T: OrderedTrace, p: ParamList,
+                         table: OccTable | None = None):
     """Homogeneous rows whose nontrivial kernel vectors are pumpable
     multiplicity increments."""
-    g = _graph_for(p)
-    _, cols = _trace_vectors(g, T, p)
-    k = p.k
-    m = len(cols)
-    return tuple(tuple(cols[i][0] - cols[i][j] for i in range(m))
-                 for j in range(1, k))
+    _, cols = _trace_vectors(T, p, table)
+    return pumping_rows(cols, p.k)
 
 
-def build_psi_branches(T: OrderedTrace, p1: ParamList,
-                       p2: ParamList) -> list[LinearSystem]:
+def pumping_rows(columns, k: int) -> tuple[tuple[int, ...], ...]:
+    """The pumping rows over cycle occurrence columns: row j-1 is
+    component 0 minus component j, for j = 1..k-1."""
+    return tuple(tuple(c[0] - c[j] for c in columns) for j in range(1, k))
+
+
+def build_psi_branches(T: OrderedTrace, p1: ParamList, p2: ParamList,
+                       tables: tuple[OccTable, OccTable] | None = None
+                       ) -> list[LinearSystem]:
     """Negation branches of the per-trace agreement test for equivalence.
 
     The trace agrees with both lists iff the two equality chains have the
@@ -637,9 +675,9 @@ def build_psi_branches(T: OrderedTrace, p1: ParamList,
     if p1.alphabet != p2.alphabet:
         raise ValueError("parameter lists must share an alphabet")
     dim = max(p1.max_len, p2.max_len)
-    g = _graph_for(p1, dim)
-    const1, cols1 = _trace_vectors(g, T, p1)
-    const2, cols2 = _trace_vectors(g, T, p2)
+    t1, t2 = tables if tables is not None else (None, None)
+    const1, cols1 = _trace_vectors(T, p1, t1, dim)
+    const2, cols2 = _trace_vectors(T, p2, t2, dim)
     m = len(T.cycles)
     lower = (1,) * m
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .decomp import Walk, check_walk, dec, is_cycle, is_path
 from .errors import CapExceededError, NotATraceError
@@ -98,6 +98,25 @@ def _attach(walk: Walk, cyc: Walk) -> Walk | None:
     return prefix + cyc[1:] + walk[i + 1:]
 
 
+def _order(cycs: list[Walk], walk: Walk, used: frozenset,
+           visited: set) -> list[int] | None:
+    # Module-level rather than a closure: a recursive inner function keeps
+    # itself, and with it every walk it visited, alive until a full GC.
+    if len(used) == len(cycs):
+        return []
+    for ci in range(len(cycs)):
+        if ci in used:
+            continue
+        nxt = _attach(walk, cycs[ci])
+        if nxt is None or nxt in visited:
+            continue
+        visited.add(nxt)
+        rest = _order(cycs, nxt, used | {ci}, visited)
+        if rest is not None:
+            return [ci, *rest]
+    return None
+
+
 def is_trace(g, items) -> OrderedTrace:
     """Order the collection into an attachable sequence or raise NotATraceError."""
     walks = []
@@ -122,25 +141,7 @@ def is_trace(g, items) -> OrderedTrace:
     path = paths[0]
     cycs.sort(key=lambda c: (len(c), c))
 
-    target = frozenset(range(len(cycs)))
-    visited = {path}
-
-    def search(walk: Walk, used: frozenset) -> list[int] | None:
-        if used == target:
-            return []
-        for ci in range(len(cycs)):
-            if ci in used:
-                continue
-            nxt = _attach(walk, cycs[ci])
-            if nxt is None or nxt in visited:
-                continue
-            visited.add(nxt)
-            rest = search(nxt, used | {ci})
-            if rest is not None:
-                return [ci, *rest]
-        return None
-
-    seq = search(path, frozenset())
+    seq = _order(cycs, path, frozenset(), {path})
     if seq is None:
         raise NotATraceError(
             f"no attachment ordering exists for cycles {cycs} on path {path}")
@@ -150,23 +151,29 @@ def is_trace(g, items) -> OrderedTrace:
 def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
     """Every rooted simple cycle of g (rotations counted separately),
     sorted by length then vertex tuple."""
+    # Iterative depth-first search, one successor iterator per vertex on
+    # the current simple path; a recursive closure would keep itself, and
+    # with it every cycle found, alive until a full GC.
+    succ = {v: g.successors(v) for v in g.vertices()}
     out: list[Walk] = []
-
-    def extend(root, cur: list, on_path: set) -> None:
-        for nxt in g.successors(cur[-1]):
-            if nxt == root:
-                out.append(tuple(cur) + (root,))
-                if len(out) > cap:
-                    raise CapExceededError(f"more than {cap} rooted cycles")
-            elif nxt not in on_path:
-                cur.append(nxt)
-                on_path.add(nxt)
-                extend(root, cur, on_path)
-                on_path.remove(nxt)
-                cur.pop()
-
     for root in sorted(g.vertices()):
-        extend(root, [root], {root})
+        cur = [root]
+        on_path = {root}
+        stack = [iter(succ[root])]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt == root:
+                    out.append((*cur, root))
+                    if len(out) > cap:
+                        raise CapExceededError(f"more than {cap} rooted cycles")
+                elif nxt not in on_path:
+                    cur.append(nxt)
+                    on_path.add(nxt)
+                    stack.append(iter(succ[nxt]))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(cur.pop())
     return tuple(sorted(out, key=lambda c: (len(c), c)))
 
 
@@ -184,41 +191,58 @@ def enumerate_paths(g) -> Iterator[Walk]:
         level = sorted(grown)
 
 
-def _level(path: Walk, cycles: tuple[Walk, ...], size: int,
-           flag: list) -> Iterator[OrderedTrace]:
-    # Depth-limited search over attachment sequences. Walks are deduped
-    # globally (two orders reaching the same walk share all completions)
-    # and finished cycle sets are deduped on emission, so each trace comes
-    # out exactly once, tagged with the ordering that first built it.
-    visited = {path}
-    emitted: set[frozenset] = set()
-    seq: list[int] = []
+class _Level:
+    """Traces on one path with exactly size cycles.
 
-    def grow(walk: Walk, used: frozenset, depth: int) -> Iterator[OrderedTrace]:
-        if depth == size:
-            flag[0] = True
-            if used not in emitted:
-                emitted.add(used)
-                yield OrderedTrace(path, tuple(cycles[i] for i in reversed(seq)))
+    Depth-limited search over attachment sequences. Walks are deduped
+    globally (two orders reaching the same walk share all completions)
+    and finished cycle sets are deduped on emission, so each trace comes
+    out exactly once, tagged with the ordering that first built it. A
+    class rather than a recursive closure, which would keep itself and
+    every visited walk alive until a full GC.
+    """
+
+    def __init__(self, path: Walk, cycles: tuple[Walk, ...], size: int,
+                 flag: list):
+        self.path = path
+        self.cycles = cycles
+        self.size = size
+        self.flag = flag
+        self.visited = {path}
+        self.emitted: set[frozenset] = set()
+        self.seq: list[int] = []
+
+    def __iter__(self) -> Iterator[OrderedTrace]:
+        return self.grow(self.path, frozenset())
+
+    def grow(self, walk: Walk, used: frozenset) -> Iterator[OrderedTrace]:
+        cycles, seq = self.cycles, self.seq
+        if len(seq) == self.size:
+            self.flag[0] = True
+            if used not in self.emitted:
+                self.emitted.add(used)
+                yield OrderedTrace(self.path,
+                                   tuple(cycles[i] for i in reversed(seq)))
             return
         for ci in range(len(cycles)):
             if ci in used:
                 continue
             nxt = _attach(walk, cycles[ci])
-            if nxt is None or nxt in visited:
+            if nxt is None or nxt in self.visited:
                 continue
-            visited.add(nxt)
+            self.visited.add(nxt)
             seq.append(ci)
-            yield from grow(nxt, used | {ci}, depth + 1)
+            yield from self.grow(nxt, used | {ci})
             seq.pop()
-
-    yield from grow(path, frozenset(), 0)
 
 
 def enumerate_traces(g, *,
                      max_cycles_per_trace: int = DEFAULT_MAX_CYCLES_PER_TRACE,
                      max_traces: int = DEFAULT_MAX_TRACES,
-                     max_cycles: int = DEFAULT_MAX_CYCLES) -> Iterator[OrderedTrace]:
+                     max_cycles: int = DEFAULT_MAX_CYCLES,
+                     min_cycles: int = 0,
+                     prune: Callable[[tuple[Walk, ...]], bool] | None = None
+                     ) -> Iterator[OrderedTrace]:
     """Every valid trace of g exactly once, as a composable OrderedTrace.
 
     Deterministic order: cycle-set size ascending, then path (shortest
@@ -226,14 +250,25 @@ def enumerate_traces(g, *,
     Small certificates therefore surface early. Raises CapExceededError
     when a limit truncates the enumeration, so exhaustion claims stay
     honest.
+
+    Traces with fewer than min_cycles cycles are skipped. prune, if
+    given, is called once with every rooted cycle of g after they are
+    enumerated (so a cycle cap still fires here) and before any trace;
+    when it returns True the caller has ruled out every trace, and the
+    stream ends without yielding one.
     """
     cycles = enumerate_cycles(g, cap=max_cycles)
+    if prune is not None and prune(cycles):
+        return
     emitted = 0
-    size = 0
+    size = min_cycles
     while True:
+        if size > max_cycles_per_trace:
+            raise CapExceededError(
+                f"traces with more than {max_cycles_per_trace} cycles may exist")
         alive = [False]
         for path in enumerate_paths(g):
-            for tr in _level(path, cycles, size, alive):
+            for tr in _Level(path, cycles, size, alive):
                 emitted += 1
                 if emitted > max_traces:
                     raise CapExceededError(f"more than {max_traces} traces")
@@ -241,6 +276,3 @@ def enumerate_traces(g, *,
         if not alive[0]:
             return
         size += 1
-        if size > max_cycles_per_trace:
-            raise CapExceededError(
-                f"traces with more than {max_cycles_per_trace} cycles may exist")

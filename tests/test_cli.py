@@ -70,6 +70,43 @@ def test_finite_dump_systems(capsys):
             entry["trace"]["cycles"])
 
 
+def test_finite_pruned_names_the_prune(capsys):
+    code = run(["finite", "--alphabet", "ab", "aa,ab,b,a,b"])
+    out, _ = _lines(capsys)
+    assert code == 1
+    assert out == ["finite (N=2, no cycle combination pumps)"]
+    code = run(["witness", "--alphabet", "ab", "aa,ab,b,a,b"])
+    out, _ = _lines(capsys)
+    assert code == 1
+    assert out == ["finite (N=2, no cycle combination pumps)"]
+
+
+def test_finite_pruned_dumps_no_systems(capsys):
+    code = run(["finite", "--alphabet", "ab", "aa,ab,b,a,b",
+                "--json", "--dump-systems"])
+    out, _ = _lines(capsys)
+    assert code == 1
+    assert len(out) == 1
+    verdict = json.loads(out[0])
+    assert verdict["verdict"] == "finite"
+    assert verdict["stats"]["traces_checked"] == 0
+    assert verdict["stats"]["pruned"] is True
+
+
+def test_finite_dump_systems_skip_cycle_free_traces(capsys):
+    code = run(["finite", "--alphabet", "ab", "ab,ba,a,b",
+                "--json", "--dump-systems"])
+    out, _ = _lines(capsys)
+    assert code == 1
+    verdict = json.loads(out[-1])
+    assert verdict["stats"]["pruned"] is False
+    dumps = [json.loads(l) for l in out[:-1]]
+    assert len(dumps) == verdict["stats"]["traces_checked"] > 0
+    assert all(entry["trace"]["cycles"] for entry in dumps)
+    # each trace once, in the order the decision checked them
+    assert len({json.dumps(e["trace"]) for e in dumps}) == len(dumps)
+
+
 def test_equiv_not_equal(capsys):
     code = run(["equiv", "--alphabet", "ab", "ab,ba,a", "--", "ab,ba,a,b"])
     out, _ = _lines(capsys)

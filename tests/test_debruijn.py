@@ -6,13 +6,15 @@ from wordmix import (
     BadStartLengthError,
     DimensionCapError,
     build,
+    enumerate_cycles,
+    enumerate_paths,
     occ_vector,
     word_from_str,
     word_of_walk,
     walk_occ,
     walk_of_word,
 )
-from wordmix.debruijn import to_dot
+from wordmix.debruijn import OccTable, to_dot
 
 from conftest import plist
 
@@ -91,6 +93,21 @@ def test_walk_occ_fixtures():
     assert walk_occ(D2, (2,), p) == (0, 0, 0)
     assert walk_occ(D2, (2, 1), p) == (1, 0, 0)
     assert walk_occ(D2, (2, 1, 2), p) == (1, 1, 1)
+
+
+def test_occ_table_matches_walk_occ():
+    """The per-decision table against walk_occ on every cycle and path."""
+    for g, p in ((D2, plist("ab", "ab", "ba", "a")),
+                 (D3, plist("ab", "aab", "b", "ba", "a"))):
+        table = OccTable(g, p)
+        for cyc in enumerate_cycles(g):
+            assert table.column(cyc) == walk_occ(g, cyc, p)
+        for path in enumerate_paths(g):
+            start = occ_vector(g.vertex_word(path[0]), p)
+            assert table.const(path) == tuple(
+                a + b for a, b in zip(start, walk_occ(g, path, p)))
+    with pytest.raises(ValueError):
+        OccTable(D2, plist("ab", "aba"))
 
 
 def test_walk_occ_requires_short_params():

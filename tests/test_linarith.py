@@ -98,6 +98,26 @@ def test_solver_budget():
     assert sum(a * v for a, v in zip((5, -3, 2), res.witness)) == 11
 
 
+def test_relaxation_refutes_before_wide_rounds(monkeypatch):
+    """A system without a rational solution stops after the first, narrow
+    search round instead of widening up to the completeness bound."""
+    import wordmix.linarith as linarith
+    caps = []
+    real = linarith._search_box
+
+    def spy(rows, rhs, n, cap, allowance):
+        caps.append(cap)
+        return real(rows, rhs, n, cap, allowance)
+
+    monkeypatch.setattr(linarith, "_search_box", spy)
+    # with x >= 1, row 2 (x1 + x2 + x4 = -1) has no rational solution,
+    # but the lattice point has negative entries, so the search starts
+    s = LinearSystem(((-1, 0, -1, 0, 1), (1, 1, 0, 1, 0), (0, 1, -1, 1, 1)),
+                     ("eq",) * 3, (-1, -1, -2), (1,) * 5)
+    assert not solve_system(s).feasible
+    assert caps == [16]
+
+
 def test_homogeneous_fixtures():
     # all-zero rows: the single multiplicity pumps freely
     res = homogeneous_nontrivial(((0,), (0,)))
