@@ -11,9 +11,9 @@ multiplicities, or a concrete distinguishing word.
 from .debruijn import (DeBruijnGraph, build, to_dot, walk_occ, walk_of_word,
                        word_of_walk)
 from .decide import (DEFAULT_CAPS, Caps, EquivalenceVerdict,
-                     FinitenessCertificate, FinitenessVerdict,
-                     canonical_certificate, check_trace, decide_equivalence,
-                     decide_finiteness, realize_walk, witness_family)
+                     FinitenessCertificate, FinitenessVerdict, check_trace,
+                     decide_equivalence, decide_finiteness, realize_walk,
+                     witness_family)
 from .decomp import (Decomposition, ExplicitGraph, check_walk, comp,
                      complete_graph, dec, is_cycle, is_path)
 from .errors import (BadStartLengthError, BudgetExceededError,
@@ -42,7 +42,7 @@ __all__ = [
     "LinearSystem", "MultiTrace", "NotATraceError", "NotAWalkError",
     "OrderedTrace", "OutOfRangeError", "ParamList", "Trace", "Word",
     "add_vectors", "build", "build_balance_system", "build_psi_branches",
-    "build_pumping_system", "canonical_certificate", "census",
+    "build_pumping_system", "census",
     "check_trace", "check_walk", "comp", "complete_graph",
     "count_occurrences", "dec", "decide_equivalence", "decide_finiteness",
     "diff", "enumerate_cycles", "enumerate_members", "enumerate_paths",

@@ -79,12 +79,6 @@ def _fmt_walk(g, walk) -> str:
     return " -> ".join(word_to_str(g.vertex_word(v)) for v in walk)
 
 
-def _trace_words(g, T) -> dict:
-    return {"path": [word_to_str(g.vertex_word(v)) for v in T.path],
-            "cycles": [[word_to_str(g.vertex_word(v)) for v in cyc]
-                       for cyc in T.cycles]}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wordmix",
                      description="Decision procedures for languages of "
@@ -184,7 +178,7 @@ def _finite_dumper(p: ParamList, caps: Caps):
                            max_vertices=caps.max_vertices), p)
 
     def dump(T) -> None:
-        entry = {"trace": _trace_words(table.g, T),
+        entry = {"trace": T.to_json_dict(table.g),
                  "balance":
                      build_balance_system(T, p, table).to_json_dict(),
                  "pumping_rows": [list(r) for r in
@@ -200,7 +194,7 @@ def _equiv_dumper(p1: ParamList, p2: ParamList, caps: Caps):
     tables = (OccTable(g, p1), OccTable(g, p2))
 
     def dump(T) -> None:
-        entry = {"trace": _trace_words(g, T),
+        entry = {"trace": T.to_json_dict(g),
                  "branches": [b.to_json_dict() for b in
                               build_psi_branches(T, p1, p2, tables)]}
         print(json.dumps(entry, sort_keys=True))

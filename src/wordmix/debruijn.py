@@ -183,15 +183,6 @@ class OccTable:
         return const
 
 
-def occ_additivity_check(g: DeBruijnGraph, start: Word, word: Word,
-                         params: ParamList) -> bool:
-    """Test helper: does occ(start.word) equal occ(start) + walk_occ(walk)?"""
-    whole = occ_vector(start + word, params)
-    split = add_vectors(occ_vector(start, params),
-                        walk_occ(g, walk_of_word(g, start, word), params))
-    return whole == split
-
-
 def to_dot(g: DeBruijnGraph, path: Walk = (), cycles: tuple[Walk, ...] = ()) -> str:
     """GraphViz rendering; a decomposition can be overlaid (path solid red,
     cycles dashed blue)."""

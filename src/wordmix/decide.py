@@ -30,8 +30,8 @@ from .linarith import (DEFAULT_NODE_BUDGET, build_balance_system,
                        build_psi_branches, build_pumping_system,
                        homogeneous_nontrivial, is_pumping_witness,
                        pumping_rows, solve_system)
-from .traces import (DEFAULT_MAX_CYCLES, DEFAULT_MAX_CYCLES_PER_TRACE,
-                     DEFAULT_MAX_TRACES, OrderedTrace, enumerate_traces)
+from .traces import (DEFAULT_MAX_CYCLES_PER_TRACE, DEFAULT_MAX_TRACES,
+                     OrderedTrace, enumerate_traces)
 from .words import ParamList, Word, is_member, word_to_str
 
 
@@ -40,7 +40,6 @@ class Caps:
     max_vertices: int = DEFAULT_MAX_VERTICES
     max_cycles_per_trace: int = DEFAULT_MAX_CYCLES_PER_TRACE
     max_traces: int = DEFAULT_MAX_TRACES
-    max_cycles: int = DEFAULT_MAX_CYCLES
     node_budget: int = DEFAULT_NODE_BUDGET
 
 
@@ -82,7 +81,7 @@ class FinitenessVerdict:
             g = _graph_for(p)
             c = self.certificate
             cert = {
-                "trace": _trace_json(g, c.trace),
+                "trace": c.trace.to_json_dict(g),
                 "x": list(c.x),
                 "y": list(c.y),
             }
@@ -124,14 +123,6 @@ def _graph_for(p: ParamList, dim: int | None = None,
                max_vertices: int = DEFAULT_MAX_VERTICES) -> DeBruijnGraph:
     return build(p.alphabet, dim if dim is not None else p.max_len,
                  max_vertices=max_vertices)
-
-
-def _trace_json(g: DeBruijnGraph, T: OrderedTrace) -> dict:
-    def word(v):
-        return word_to_str(g.vertex_word(v))
-
-    return {"path": [word(v) for v in T.path],
-            "cycles": [[word(v) for v in cyc] for cyc in T.cycles]}
 
 
 def _columns(rows, m: int) -> list[tuple[int, ...]]:
@@ -271,7 +262,6 @@ def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
     gen = enumerate_traces(g,
                            max_cycles_per_trace=caps.max_cycles_per_trace,
                            max_traces=caps.max_traces,
-                           max_cycles=caps.max_cycles,
                            min_cycles=1, prune=checker.refutes_all)
     while True:
         try:
@@ -330,21 +320,6 @@ def witness_family(cert: FinitenessCertificate, p: ParamList,
     return word
 
 
-def canonical_certificate(candidates):
-    """Deterministic pick: the candidate with the least enumeration rank.
-
-    candidates: iterable of (rank, payload) pairs, e.g. collected from
-    parallel trace checks. Input order does not matter.
-    """
-    best = None
-    for rank, payload in candidates:
-        if best is None or rank < best[0]:
-            best = (rank, payload)
-    if best is None:
-        raise ValueError("no candidates")
-    return best[1]
-
-
 def decide_equivalence(p1: ParamList, p2: ParamList,
                        caps: Caps = DEFAULT_CAPS, *,
                        on_trace: Callable[[OrderedTrace], None] | None = None
@@ -373,8 +348,7 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
     budget_hit: str | None = None
     gen = enumerate_traces(g,
                            max_cycles_per_trace=caps.max_cycles_per_trace,
-                           max_traces=caps.max_traces,
-                           max_cycles=caps.max_cycles)
+                           max_traces=caps.max_traces)
     while True:
         try:
             T = next(gen)

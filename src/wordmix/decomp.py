@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import debruijn
 from .errors import CompositionUndefinedError, NotAWalkError
-from .words import OccVector, ParamList, add_vectors
 
 Vertex = int
 Walk = tuple[Vertex, ...]
@@ -56,10 +54,6 @@ def check_walk(g, walk: Walk) -> None:
     for u, v in zip(walk, walk[1:]):
         if not g.has_edge(u, v):
             raise NotAWalkError(f"({u}, {v}) is not an edge")
-
-
-def vertices_of(walk: Walk) -> frozenset[Vertex]:
-    return frozenset(walk)
 
 
 def is_path(walk: Walk) -> bool:
@@ -130,13 +124,3 @@ def comp(g, walk: Walk, cycles: tuple[Walk, ...]) -> Walk:
                 f"no duplicate-free prefix reaches the first occurrence of {root}")
         cur = prefix + cyc[1:] + cur[i + 1:]
     return cur
-
-
-def insert_occ_additivity(g: "debruijn.DeBruijnGraph", walk: Walk, cyc: Walk,
-                          params: ParamList) -> bool:
-    """Test helper: splicing a cycle adds exactly its own occurrence vector."""
-    spliced = comp(g, walk, (cyc,))
-    lhs = debruijn.walk_occ(g, spliced, params)
-    rhs = add_vectors(debruijn.walk_occ(g, walk, params),
-                      debruijn.walk_occ(g, cyc, params))
-    return lhs == rhs

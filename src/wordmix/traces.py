@@ -8,16 +8,24 @@ root on the walk composed so far, subject to two conditions: the prefix up
 to that occurrence is duplicate-free, and the cycle touches that prefix in
 its root only. Walks realising a trace exist for every choice of positive
 multiplicities, which is what the decision procedures pump on.
+
+Both the validity test and the enumeration search over states (P, used)
+rather than over whole walks: P is the longest duplicate-free prefix of
+the walk composed so far and used its set of attached cycles. The state
+decides every further attachment (see _grow), so the search keeps one
+level of states per cycle-set size and grows the next level from it,
+instead of re-attaching every shallower walk for each size.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .decomp import Walk, check_walk, dec, is_cycle, is_path
 from .errors import CapExceededError, NotATraceError
+from .words import word_to_str
 
 DEFAULT_MAX_CYCLES_PER_TRACE = 12
 DEFAULT_MAX_TRACES = 1_000_000
@@ -63,6 +71,14 @@ class OrderedTrace:
     def as_trace(self) -> Trace:
         return Trace(self.path, frozenset(self.cycles))
 
+    def to_json_dict(self, g) -> dict:
+        """Path and cycles as lists of vertex words."""
+        def word(v):
+            return word_to_str(g.vertex_word(v))
+
+        return {"path": [word(v) for v in self.path],
+                "cycles": [[word(v) for v in cyc] for cyc in self.cycles]}
+
 
 def mtrace(g, walk: Walk) -> MultiTrace:
     d = dec(g, walk)
@@ -76,45 +92,76 @@ def trace(g, walk: Walk) -> Trace:
     return Trace(d.path, frozenset(d.cycles))
 
 
-def _attach(walk: Walk, cyc: Walk) -> Walk | None:
-    """Splice cyc into walk at the first occurrence of its root, or None.
+# A search state: (P, used, seq). P is the longest duplicate-free prefix
+# of the composed walk, used the bit set of attached cycle indices and seq
+# those indices in attachment order.
+_State = tuple[Walk, int, tuple[int, ...]]
 
-    Fails when the root never occurs, when the prefix up to its first
-    occurrence repeats a vertex, or when the cycle meets that prefix
-    anywhere besides the root.
+
+def _grow(states: Iterable[_State],
+          cycles: tuple[Walk, ...]) -> Iterator[_State]:
+    """The states one attachment deeper, each once, in first-reached order.
+
+    Rule. Attaching cycle c with root r to a walk W succeeds iff r occurs
+    in P = P(W), at index i say, and c[1:-1] avoids P[:i+1]. The first
+    occurrence of r in W lies inside the duplicate-free prefix exactly
+    when r is in P, and then the prefix up to it is P[:i+1]. The new walk
+    is P[:i+1] + c[1:] + W[i+1:]: its first i+1 vertices and the interior
+    of c are pairwise distinct, and r recurs right after them, so its
+    longest duplicate-free prefix is P[:i+1] + c[1:-1]. Both the test and
+    the new state read only (P, used), so two walks with equal (P, used)
+    have the same continuations, state by state.
+
+    Order. Call a sequence of cycle indices least for a state when no
+    lexicographically smaller one reaches it. Every prefix of a least
+    sequence is least for the state it reaches: if s reaches X and a
+    smaller s' does too, s' + [c] reaches the same state as s + [c] and
+    is smaller. So when states lists every state of a level once, by its
+    least sequence and in the order of those sequences, the extensions
+    tried here (states in order, cycles by ascending index) come in
+    lexicographic order, and the first one to reach a state carries its
+    least sequence: the output lists the next level the same way. Each
+    cycle set is therefore first met with its least attachment sequence,
+    in the order of those sequences, which is exactly what a depth-first
+    search over sequences that deduplicates whole walks emits, since a
+    walk fixes its state (P by definition, used as the cycles dec peels
+    off it).
     """
-    root = cyc[0]
-    try:
-        i = walk.index(root)
-    except ValueError:
-        return None
-    prefix = walk[:i + 1]
-    pset = set(prefix)
-    if len(pset) != len(prefix):
-        return None
-    for v in cyc[1:-1]:
-        if v in pset:
-            return None
-    return prefix + cyc[1:] + walk[i + 1:]
+    seen = set()
+    for prefix, used, seq in states:
+        pos = {v: i for i, v in enumerate(prefix)}
+        for ci, cyc in enumerate(cycles):
+            bit = 1 << ci
+            if used & bit:
+                continue
+            i = pos.get(cyc[0])
+            if i is None:
+                continue
+            inner = cyc[1:-1]
+            for v in inner:
+                j = pos.get(v)
+                if j is not None and j <= i:
+                    break
+            else:
+                key = (prefix[:i + 1] + inner, used | bit)
+                if key not in seen:
+                    seen.add(key)
+                    yield key[0], key[1], seq + (ci,)
 
 
-def _order(cycs: list[Walk], walk: Walk, used: frozenset,
-           visited: set) -> list[int] | None:
-    # Module-level rather than a closure: a recursive inner function keeps
-    # itself, and with it every walk it visited, alive until a full GC.
-    if len(used) == len(cycs):
-        return []
-    for ci in range(len(cycs)):
-        if ci in used:
-            continue
-        nxt = _attach(walk, cycs[ci])
-        if nxt is None or nxt in visited:
-            continue
-        visited.add(nxt)
-        rest = _order(cycs, nxt, used | {ci}, visited)
-        if rest is not None:
-            return [ci, *rest]
-    return None
+def _levels(path: Walk, depth: int,
+            cycles: tuple[Walk, ...]) -> Iterable[_State]:
+    """The states on path with depth cycles attached, produced lazily."""
+    level: Iterable[_State] = [(path, 0, ())]
+    for _ in range(depth):
+        level = _grow(level, cycles)
+    return level
+
+
+def _ordered(path: Walk, seq: tuple[int, ...],
+             cycles: tuple[Walk, ...]) -> OrderedTrace:
+    # comp splices back to front, so the first cycle attached goes last
+    return OrderedTrace(path, tuple(cycles[i] for i in reversed(seq)))
 
 
 def is_trace(g, items) -> OrderedTrace:
@@ -139,13 +186,12 @@ def is_trace(g, items) -> OrderedTrace:
     if len(paths) > 1:
         raise NotATraceError(f"more than one path in the collection: {paths}")
     path = paths[0]
-    cycs.sort(key=lambda c: (len(c), c))
-
-    seq = _order(cycs, path, frozenset(), {path})
-    if seq is None:
-        raise NotATraceError(
-            f"no attachment ordering exists for cycles {cycs} on path {path}")
-    return OrderedTrace(path, tuple(cycs[i] for i in reversed(seq)))
+    cycles = tuple(sorted(cycs, key=lambda c: (len(c), c)))
+    # at full depth every state has used all the cycles
+    for _, _, seq in _levels(path, len(cycles), cycles):
+        return _ordered(path, seq, cycles)
+    raise NotATraceError(
+        f"no attachment ordering exists for cycles {list(cycles)} on path {path}")
 
 
 def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
@@ -191,65 +237,26 @@ def enumerate_paths(g) -> Iterator[Walk]:
         level = sorted(grown)
 
 
-class _Level:
-    """Traces on one path with exactly size cycles.
-
-    Depth-limited search over attachment sequences. Walks are deduped
-    globally (two orders reaching the same walk share all completions)
-    and finished cycle sets are deduped on emission, so each trace comes
-    out exactly once, tagged with the ordering that first built it. A
-    class rather than a recursive closure, which would keep itself and
-    every visited walk alive until a full GC.
-    """
-
-    def __init__(self, path: Walk, cycles: tuple[Walk, ...], size: int,
-                 flag: list):
-        self.path = path
-        self.cycles = cycles
-        self.size = size
-        self.flag = flag
-        self.visited = {path}
-        self.emitted: set[frozenset] = set()
-        self.seq: list[int] = []
-
-    def __iter__(self) -> Iterator[OrderedTrace]:
-        return self.grow(self.path, frozenset())
-
-    def grow(self, walk: Walk, used: frozenset) -> Iterator[OrderedTrace]:
-        cycles, seq = self.cycles, self.seq
-        if len(seq) == self.size:
-            self.flag[0] = True
-            if used not in self.emitted:
-                self.emitted.add(used)
-                yield OrderedTrace(self.path,
-                                   tuple(cycles[i] for i in reversed(seq)))
-            return
-        for ci in range(len(cycles)):
-            if ci in used:
-                continue
-            nxt = _attach(walk, cycles[ci])
-            if nxt is None or nxt in self.visited:
-                continue
-            self.visited.add(nxt)
-            seq.append(ci)
-            yield from self.grow(nxt, used | {ci})
-            seq.pop()
-
-
 def enumerate_traces(g, *,
                      max_cycles_per_trace: int = DEFAULT_MAX_CYCLES_PER_TRACE,
                      max_traces: int = DEFAULT_MAX_TRACES,
-                     max_cycles: int = DEFAULT_MAX_CYCLES,
                      min_cycles: int = 0,
                      prune: Callable[[tuple[Walk, ...]], bool] | None = None
                      ) -> Iterator[OrderedTrace]:
     """Every valid trace of g exactly once, as a composable OrderedTrace.
 
     Deterministic order: cycle-set size ascending, then path (shortest
-    first, lexicographic), then discovery order of the attachment search.
-    Small certificates therefore surface early. Raises CapExceededError
-    when a limit truncates the enumeration, so exhaustion claims stay
-    honest.
+    first, lexicographic), then the least attachment sequence of each
+    cycle set, which is also the ordering it carries. Small certificates
+    therefore surface early. Raises CapExceededError when a limit
+    truncates the enumeration, so exhaustion claims stay honest; the
+    cycle cap is DEFAULT_MAX_CYCLES.
+
+    Each path keeps the states (see _grow) of the last size, and the next
+    size grows from them, yielding each trace as its cycle set is first
+    reached. The first size grows every path from scratch as the path is
+    drawn, so an early exit never pays for paths it does not reach. A
+    size no path reaches ends the stream.
 
     Traces with fewer than min_cycles cycles are skipped. prune, if
     given, is called once with every rooted cycle of g after they are
@@ -257,22 +264,33 @@ def enumerate_traces(g, *,
     when it returns True the caller has ruled out every trace, and the
     stream ends without yielding one.
     """
-    cycles = enumerate_cycles(g, cap=max_cycles)
+    cycles = enumerate_cycles(g)
     if prune is not None and prune(cycles):
         return
     emitted = 0
     size = min_cycles
+    grown = ((path, _levels(path, min_cycles, cycles))
+             for path in enumerate_paths(g))
     while True:
         if size > max_cycles_per_trace:
             raise CapExceededError(
                 f"traces with more than {max_cycles_per_trace} cycles may exist")
-        alive = [False]
-        for path in enumerate_paths(g):
-            for tr in _Level(path, cycles, size, alive):
+        kept: list[tuple[Walk, list[_State]]] = []
+        for path, states in grown:
+            level = []
+            cycle_sets = set()
+            for state in states:
+                level.append(state)
+                if state[1] in cycle_sets:
+                    continue
+                cycle_sets.add(state[1])
                 emitted += 1
                 if emitted > max_traces:
                     raise CapExceededError(f"more than {max_traces} traces")
-                yield tr
-        if not alive[0]:
+                yield _ordered(path, state[2], cycles)
+            if level:
+                kept.append((path, level))
+        if not kept:
             return
+        grown = ((path, _grow(level, cycles)) for path, level in kept)
         size += 1

@@ -9,7 +9,6 @@ from wordmix import (
     FinitenessCertificate,
     ParamList,
     build,
-    canonical_certificate,
     check_trace,
     decide_equivalence,
     decide_finiteness,
@@ -203,14 +202,6 @@ def test_equivalence_brute_force_cross_check():
             assert agree
         else:
             assert not agree or len(v.witness) > 8
-
-
-def test_canonical_certificate():
-    picked = canonical_certificate([(3, "c"), (1, "a"), (2, "b")])
-    assert picked == "a"
-    assert canonical_certificate(iter([(5, "z")])) == "z"
-    with pytest.raises(ValueError):
-        canonical_certificate([])
 
 
 def test_finiteness_json_shape():

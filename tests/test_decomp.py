@@ -7,6 +7,7 @@ from wordmix import (
     Alphabet,
     CompositionUndefinedError,
     NotAWalkError,
+    add_vectors,
     build,
     check_walk,
     comp,
@@ -14,15 +15,27 @@ from wordmix import (
     dec,
     is_cycle,
     is_path,
+    walk_occ,
     word_from_str,
 )
-from wordmix.decomp import insert_occ_additivity, vertices_of
 
 from conftest import plist
 
 
 K4 = complete_graph(4)
 D2 = build(Alphabet.from_string("ab"), 2)
+
+
+def vertices_of(walk):
+    return frozenset(walk)
+
+
+def insert_occ_additivity(g, walk, cyc, params) -> bool:
+    """Splicing a cycle adds exactly its own occurrence vector."""
+    spliced = comp(g, walk, (cyc,))
+    lhs = walk_occ(g, spliced, params)
+    rhs = add_vectors(walk_occ(g, walk, params), walk_occ(g, cyc, params))
+    return lhs == rhs
 
 
 def test_check_walk():

@@ -1,5 +1,7 @@
+import itertools
 import random
 from collections import Counter
+from typing import Iterator
 
 import pytest
 
@@ -21,6 +23,9 @@ from wordmix import (
     trace,
     walk_occ,
 )
+
+from wordmix.traces import (DEFAULT_MAX_CYCLES, DEFAULT_MAX_CYCLES_PER_TRACE,
+                            DEFAULT_MAX_TRACES, OrderedTrace, Walk)
 
 from conftest import plist
 
@@ -218,3 +223,191 @@ def test_occurrence_conservation_random():
         # length conservation
         assert len(w) - 1 == (len(mt.path) - 1) + sum(
             count * (len(c) - 1) for c, count in mt.cycles)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the walk-keyed depth-limited search that enumerate_traces and
+# is_trace replaced. It restarts from the bare path for every cycle-set size
+# and deduplicates whole walks; the library's state search must reproduce
+# its output exactly.
+
+
+def _attach(walk: Walk, cyc: Walk) -> Walk | None:
+    """Splice cyc into walk at the first occurrence of its root, or None.
+
+    Fails when the root never occurs, when the prefix up to its first
+    occurrence repeats a vertex, or when the cycle meets that prefix
+    anywhere besides the root.
+    """
+    root = cyc[0]
+    try:
+        i = walk.index(root)
+    except ValueError:
+        return None
+    prefix = walk[:i + 1]
+    pset = set(prefix)
+    if len(pset) != len(prefix):
+        return None
+    for v in cyc[1:-1]:
+        if v in pset:
+            return None
+    return prefix + cyc[1:] + walk[i + 1:]
+
+
+def _order(cycs: list[Walk], walk: Walk, used: frozenset,
+           visited: set) -> list[int] | None:
+    # Module-level rather than a closure: a recursive inner function keeps
+    # itself, and with it every walk it visited, alive until a full GC.
+    if len(used) == len(cycs):
+        return []
+    for ci in range(len(cycs)):
+        if ci in used:
+            continue
+        nxt = _attach(walk, cycs[ci])
+        if nxt is None or nxt in visited:
+            continue
+        visited.add(nxt)
+        rest = _order(cycs, nxt, used | {ci}, visited)
+        if rest is not None:
+            return [ci, *rest]
+    return None
+
+
+class _Level:
+    """Traces on one path with exactly size cycles.
+
+    Depth-limited search over attachment sequences. Walks are deduped
+    globally (two orders reaching the same walk share all completions)
+    and finished cycle sets are deduped on emission, so each trace comes
+    out exactly once, tagged with the ordering that first built it. A
+    class rather than a recursive closure, which would keep itself and
+    every visited walk alive until a full GC.
+    """
+
+    def __init__(self, path: Walk, cycles: tuple[Walk, ...], size: int,
+                 flag: list):
+        self.path = path
+        self.cycles = cycles
+        self.size = size
+        self.flag = flag
+        self.visited = {path}
+        self.emitted: set[frozenset] = set()
+        self.seq: list[int] = []
+
+    def __iter__(self) -> Iterator[OrderedTrace]:
+        return self.grow(self.path, frozenset())
+
+    def grow(self, walk: Walk, used: frozenset) -> Iterator[OrderedTrace]:
+        cycles, seq = self.cycles, self.seq
+        if len(seq) == self.size:
+            self.flag[0] = True
+            if used not in self.emitted:
+                self.emitted.add(used)
+                yield OrderedTrace(self.path,
+                                   tuple(cycles[i] for i in reversed(seq)))
+            return
+        for ci in range(len(cycles)):
+            if ci in used:
+                continue
+            nxt = _attach(walk, cycles[ci])
+            if nxt is None or nxt in self.visited:
+                continue
+            self.visited.add(nxt)
+            seq.append(ci)
+            yield from self.grow(nxt, used | {ci})
+            seq.pop()
+
+
+def reference_traces(g, *,
+                     max_cycles_per_trace: int = DEFAULT_MAX_CYCLES_PER_TRACE,
+                     max_traces: int = DEFAULT_MAX_TRACES,
+                     max_cycles: int = DEFAULT_MAX_CYCLES,
+                     min_cycles: int = 0) -> Iterator[OrderedTrace]:
+    cycles = enumerate_cycles(g, cap=max_cycles)
+    emitted = 0
+    size = min_cycles
+    while True:
+        if size > max_cycles_per_trace:
+            raise CapExceededError(
+                f"traces with more than {max_cycles_per_trace} cycles may exist")
+        alive = [False]
+        for path in enumerate_paths(g):
+            for tr in _Level(path, cycles, size, alive):
+                emitted += 1
+                if emitted > max_traces:
+                    raise CapExceededError(f"more than {max_traces} traces")
+                yield tr
+        if not alive[0]:
+            return
+        size += 1
+
+
+def _stream(traces, first):
+    """(path, cycles) pairs of the first `first` traces, and the cap message
+    if the stream raised one before that."""
+    out = []
+    try:
+        for t in itertools.islice(traces, first):
+            out.append((t.path, t.cycles))
+    except CapExceededError as e:
+        return out, str(e)
+    return out, None
+
+
+ABC2 = build(Alphabet.from_string("abc"), 2)
+D3 = build(AB, 3)
+D4 = build(AB, 4)
+
+
+@pytest.mark.parametrize("g, kwargs, first", [
+    (D2, {}, None),
+    (D2, {"min_cycles": 1}, None),
+    (D2, {"min_cycles": 3}, None),
+    (D2, {"max_traces": 700}, None),
+    (D2, {"max_cycles_per_trace": 3}, None),
+    (D2, {"max_cycles_per_trace": 7}, None),
+    (ABC2, {}, 20000),
+    (D3, {}, 20000),
+    (D4, {}, 3000),
+    (ABC2, {"max_traces": 700}, None),
+    (D3, {"max_traces": 700}, None),
+    (D4, {"max_traces": 700}, None),
+    (D3, {"max_traces": 700, "min_cycles": 1}, None),
+    (D4, {"max_traces": 700, "min_cycles": 1}, None),
+], ids=["d2", "d2-min1", "d2-min3", "d2-cap700", "d2-size3", "d2-size7",
+        "abc2-first20000", "d3-first20000", "d4-first3000", "abc2-cap700",
+        "d3-cap700", "d4-cap700", "d3-min1-cap700", "d4-min1-cap700"])
+def test_state_search_matches_walk_search(g, kwargs, first):
+    """The (prefix, used) search yields the walk search's traces, in its
+    order, with its orderings and its cap messages."""
+    got = _stream(enumerate_traces(g, **kwargs), first)
+    want = _stream(reference_traces(g, **kwargs), first)
+    assert got == want
+    assert len(got[0]) > 0
+
+
+def test_is_trace_matches_walk_search():
+    """is_trace returns the walk search's ordering, and refuses exactly the
+    collections it refuses: every D2 trace with its items shuffled, plus
+    random path and cycle-set pairs, most of them invalid."""
+    rng = random.Random(5)
+    cycles = enumerate_cycles(D2)
+    paths = list(enumerate_paths(D2))
+    cases = [(t.path, list(t.cycles)) for t in reference_traces(D2)]
+    cases += [(rng.choice(paths), rng.sample(cycles, rng.randint(1, 5)))
+              for _ in range(400)]
+    refused = 0
+    for path, cycs in cases:
+        items = [path, *cycs]
+        rng.shuffle(items)
+        cycs = sorted(cycs, key=lambda c: (len(c), c))
+        seq = _order(cycs, path, frozenset(), {path})
+        if seq is None:
+            refused += 1
+            with pytest.raises(NotATraceError):
+                is_trace(D2, items)
+        else:
+            got = is_trace(D2, items)
+            assert got == OrderedTrace(path,
+                                       tuple(cycs[i] for i in reversed(seq)))
+    assert refused > 100
