@@ -13,8 +13,7 @@ import argparse
 import json
 import sys
 
-from .debruijn import (DEFAULT_MAX_VERTICES, OccTable, build, to_dot,
-                       walk_of_word)
+from .debruijn import DEFAULT_MAX_VERTICES, build, to_dot, walk_of_word
 from .decide import (Caps, decide_equivalence, decide_finiteness, timed,
                      witness_family)
 from .decomp import dec
@@ -172,33 +171,27 @@ def _build_parser() -> _Parser:
 # subcommand bodies
 
 
-def _finite_dumper(p: ParamList, caps: Caps):
-    """on_trace hook printing the systems of each trace the decision checks."""
-    table = OccTable(build(p.alphabet, p.max_len,
-                           max_vertices=caps.max_vertices), p)
-
-    def dump(T) -> None:
-        entry = {"trace": T.to_json_dict(table.g),
-                 "balance":
-                     build_balance_system(T, p, table).to_json_dict(),
-                 "pumping_rows": [list(r) for r in
-                                  build_pumping_system(T, p, table)]}
-        print(json.dumps(entry, sort_keys=True))
-    return dump
+def _dump_finite(T, tables) -> None:
+    """on_trace hook printing the systems of each trace the decision
+    checks, from the decision's own table."""
+    (table,) = tables
+    p = table.params
+    entry = {"trace": T.to_json_dict(table.g),
+             "balance": build_balance_system(T, p, table).to_json_dict(),
+             "pumping_rows": [list(r) for r in
+                              build_pumping_system(T, p, table)]}
+    print(json.dumps(entry, sort_keys=True))
 
 
-def _equiv_dumper(p1: ParamList, p2: ParamList, caps: Caps):
-    """on_trace hook printing the negation branches of each checked trace."""
-    dim = max(p1.max_len, p2.max_len)
-    g = build(p1.alphabet, dim, max_vertices=caps.max_vertices)
-    tables = (OccTable(g, p1), OccTable(g, p2))
-
-    def dump(T) -> None:
-        entry = {"trace": T.to_json_dict(g),
-                 "branches": [b.to_json_dict() for b in
-                              build_psi_branches(T, p1, p2, tables)]}
-        print(json.dumps(entry, sort_keys=True))
-    return dump
+def _dump_equiv(T, tables) -> None:
+    """on_trace hook printing the negation branches of each checked
+    trace, from the decision's own tables."""
+    t1, t2 = tables
+    entry = {"trace": T.to_json_dict(t1.g),
+             "branches": [b.to_json_dict() for b in
+                          build_psi_branches(T, t1.params, t2.params,
+                                             tables)]}
+    print(json.dumps(entry, sort_keys=True))
 
 
 def _validate_finiteness_certificate(cert, p: ParamList) -> None:
@@ -208,37 +201,41 @@ def _validate_finiteness_certificate(cert, p: ParamList) -> None:
         raise WitnessError("pumping witness failed re-validation")
 
 
-def _finite_line(p: ParamList, verdict) -> str:
-    return f"finite (N={p.max_len}, {verdict.reason})"
+def _report_not_infinite(p: ParamList, verdict, ms: float,
+                         as_json: bool) -> int:
+    """Print a finite or unknown verdict and return its exit code."""
+    if as_json:
+        print(json.dumps(verdict.to_json_dict(p, ms), sort_keys=True))
+    elif verdict.verdict == "finite":
+        print(f"finite (N={p.max_len}, {verdict.reason})")
+    else:
+        print(f"unknown ({verdict.cap})")
+    return EXIT_FALSE if verdict.verdict == "finite" else EXIT_UNKNOWN
 
 
 def _cmd_finite(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     p = _parse_words(alphabet, args.words)
     caps = _caps_from(args)
-    on_trace = _finite_dumper(p, caps) if args.dump_systems else None
+    on_trace = _dump_finite if args.dump_systems else None
     verdict, ms = timed(decide_finiteness, p, caps, on_trace=on_trace)
-    if verdict.certificate is not None:
-        _validate_finiteness_certificate(verdict.certificate, p)
+    if verdict.verdict != "infinite":
+        return _report_not_infinite(p, verdict, ms, args.json)
+    cert = verdict.certificate
+    _validate_finiteness_certificate(cert, p)
     if args.json:
         print(json.dumps(verdict.to_json_dict(p, ms), sort_keys=True))
-    elif verdict.verdict == "infinite":
-        cert = verdict.certificate
-        g = build(p.alphabet, p.max_len, max_vertices=caps.max_vertices)
-        sample = witness_family(cert, p, 1)
-        print("infinite")
-        print(f"  trace path:  {_fmt_walk(g, cert.trace.path)}")
-        for cyc in cert.trace.cycles:
-            print(f"  trace cycle: {_fmt_walk(g, cyc)}")
-        print(f"  balance x: {cert.x}")
-        print(f"  pumping y: {cert.y}")
-        print(f"  example member: {word_to_str(sample)!r}")
-    elif verdict.verdict == "finite":
-        print(_finite_line(p, verdict))
-    else:
-        print(f"unknown ({verdict.cap})")
-    return {"infinite": EXIT_TRUE, "finite": EXIT_FALSE,
-            "unknown": EXIT_UNKNOWN}[verdict.verdict]
+        return EXIT_TRUE
+    g = build(p.alphabet, p.max_len, max_vertices=caps.max_vertices)
+    sample = witness_family(cert, p, 1)
+    print("infinite")
+    print(f"  trace path:  {_fmt_walk(g, cert.trace.path)}")
+    for cyc in cert.trace.cycles:
+        print(f"  trace cycle: {_fmt_walk(g, cyc)}")
+    print(f"  balance x: {cert.x}")
+    print(f"  pumping y: {cert.y}")
+    print(f"  example member: {word_to_str(sample)!r}")
+    return EXIT_TRUE
 
 
 def _cmd_equiv(args) -> int:
@@ -246,7 +243,7 @@ def _cmd_equiv(args) -> int:
     p1 = _parse_words(alphabet, args.list1)
     p2 = _parse_words(alphabet, args.list2)
     caps = _caps_from(args)
-    on_trace = _equiv_dumper(p1, p2, caps) if args.dump_systems else None
+    on_trace = _dump_equiv if args.dump_systems else None
     verdict, ms = timed(decide_equivalence, p1, p2, caps, on_trace=on_trace)
     if verdict.witness is not None:
         in1 = is_member(verdict.witness, p1)
@@ -291,14 +288,7 @@ def _cmd_witness(args) -> int:
     caps = _caps_from(args)
     verdict, ms = timed(decide_finiteness, p, caps)
     if verdict.verdict != "infinite":
-        if args.json:
-            print(json.dumps(verdict.to_json_dict(p, ms), sort_keys=True))
-        elif verdict.verdict == "finite":
-            print(_finite_line(p, verdict))
-        else:
-            print(f"unknown ({verdict.cap})")
-        return (EXIT_FALSE if verdict.verdict == "finite"
-                else EXIT_UNKNOWN)
+        return _report_not_infinite(p, verdict, ms, args.json)
     word = witness_family(verdict.certificate, p, args.n)
     if args.json:
         payload = {"verdict": "infinite",

@@ -8,7 +8,8 @@ of v.w, and that correspondence is a bijection between words and walks.
 
 from __future__ import annotations
 
-from .errors import BadStartLengthError, DimensionCapError, NotAWalkError
+from .decomp import check_walk
+from .errors import BadStartLengthError, DimensionCapError
 from .words import (
     Alphabet,
     OccVector,
@@ -93,14 +94,6 @@ def build(alphabet: Alphabet, dim: int,
     return DeBruijnGraph(alphabet, dim, max_vertices)
 
 
-def _check_edges(g: DeBruijnGraph, walk: Walk) -> None:
-    if not walk:
-        raise NotAWalkError("empty vertex sequence")
-    for u, v in zip(walk, walk[1:]):
-        if not g.has_edge(u, v):
-            raise NotAWalkError(f"({u}, {v}) is not an edge")
-
-
 def walk_of_word(g: DeBruijnGraph, start: Word, word: Word) -> Walk:
     """The walk from start whose step i lands on the trailing window of start.word[:i]."""
     cur = g.encode(start)
@@ -113,7 +106,7 @@ def walk_of_word(g: DeBruijnGraph, start: Word, word: Word) -> Walk:
 
 def word_of_walk(g: DeBruijnGraph, walk: Walk) -> Word:
     """Inverse of walk_of_word, prefixed with the start vertex's word."""
-    _check_edges(g, walk)
+    check_walk(g, walk)
     tail = tuple(g.alphabet.symbols[v % len(g.alphabet)] for v in walk[1:])
     return g.vertex_word(walk[0]) + tail
 
@@ -129,7 +122,7 @@ def walk_occ(g: DeBruijnGraph, walk: Walk, params: ParamList) -> OccVector:
         raise ValueError(
             f"parameter words of length {params.max_len} do not fit in a "
             f"dimension-{g.dim} window")
-    _check_edges(g, walk)
+    check_walk(g, walk)
     counts = [0] * params.k
     for v in walk[1:]:
         for i, c in enumerate(suffix_indicator(g.vertex_word(v), params)):

@@ -1,25 +1,26 @@
 """Top-level decisions: is M(w1,...,wk) infinite, and do two lists agree.
 
 Both procedures stream the traces of the de Bruijn graph whose dimension
-is the longest parameter word. Finiteness early-exits on the first trace
-whose balance and pumping systems are both feasible; equivalence must
-exhaust the traces, refuting every negation branch, before it may answer
-Equal. Caps and solver budgets surface as an Unknown verdict, never as a
-silently weakened answer.
+is the longest parameter word, through one loop, _stream. Finiteness
+early-exits on the first trace whose balance and pumping systems are both
+feasible; equivalence must exhaust the traces, refuting every negation
+branch, before it may answer Equal. Caps and solver budgets surface as an
+Unknown verdict, never as a silently weakened answer.
 
 Each decision builds its graph once, plus one OccTable per parameter
-list, and assembles every per-trace system from them. Finiteness also
-applies three rules, each argued where it is implemented: (a) one
-pumping LP over all cycles can refute every trace at once
-(_TraceChecker.refutes_all), (b) cycle-free traces are not streamed
-(decide_finiteness), and (c) pumping and balance solves are memoised on
-a key that forgets the order of the cycles (_TraceChecker).
+list, defines its per-trace check over them, hands both to _stream and
+maps what comes back to its verdict. Finiteness also applies three rules,
+each argued where it is implemented: (a) one pumping LP over all cycles
+can refute every trace at once (_TraceChecker.refutes_all), (b)
+cycle-free traces are not streamed (decide_finiteness), and (c) pumping
+solves and refuted balance systems are memoised on keys that forget the
+order of the cycles (_TraceChecker).
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .debruijn import (DEFAULT_MAX_VERTICES, DeBruijnGraph, OccTable, build,
@@ -78,7 +79,7 @@ class FinitenessVerdict:
     def to_json_dict(self, p: ParamList, elapsed_ms: float) -> dict:
         cert = None
         if self.certificate is not None:
-            g = _graph_for(p)
+            g = build(p.alphabet, p.max_len)
             c = self.certificate
             cert = {
                 "trace": c.trace.to_json_dict(g),
@@ -119,12 +120,6 @@ class EquivalenceVerdict:
         }
 
 
-def _graph_for(p: ParamList, dim: int | None = None,
-               max_vertices: int = DEFAULT_MAX_VERTICES) -> DeBruijnGraph:
-    return build(p.alphabet, dim if dim is not None else p.max_len,
-                 max_vertices=max_vertices)
-
-
 def _columns(rows, m: int) -> list[tuple[int, ...]]:
     """The m columns of rows; empty tuples when there are no rows (k = 1)."""
     return list(zip(*rows)) if rows else [()] * m
@@ -138,15 +133,18 @@ class _TraceChecker:
     A: a solution over the distinct columns is one over the trace once
     each column's weight goes to its first cycle and repeats get 0, and
     summing a trace's solution over equal columns gives one over the
-    distinct set. The balance question, x >= 1 with B x = r, depends only
-    on r and the multiset of columns of B: the lower bounds are all 1,
-    so permuting the cycles permutes the solutions. Each solve is cached
-    on that key, and a cached witness is mapped to the trace's own cycle
-    order and re-checked against the trace's own system before use. A
-    solve that runs out of budget is not cached, so a later trace with
-    the same key tries again, as it would without the memo. Each cache
-    holds one entry per distinct system met and lives as long as the
-    decision.
+    distinct set. Each pumping solve is cached on that set with its
+    witness, which is mapped to the trace's own cycle order and
+    re-checked against the trace's own system before use: pump-feasible
+    traces whose balance fails come back again and again. The balance
+    question, x >= 1 with B x = r, depends only on r and the multiset of
+    columns of B: the lower bounds are all 1, so permuting the cycles
+    permutes the solutions. Only refuted balance keys are kept, since a
+    feasible balance system (met only after pumping holds) ends the
+    decision. A solve that runs out of budget is not cached, so a later
+    trace with the same key tries again, as it would without the memo.
+    Both memos hold one entry per distinct system met and live as long
+    as the decision.
     """
 
     def __init__(self, g: DeBruijnGraph, p: ParamList, node_budget: int):
@@ -156,8 +154,8 @@ class _TraceChecker:
         self.pruned = False
         # distinct pumping columns -> weight per column, or None
         self._pumps: dict[tuple, dict | None] = {}
-        # (rhs, sorted balance columns) -> witness in that order, or None
-        self._balances: dict[tuple, tuple | None] = {}
+        # (rhs, sorted balance columns) of the infeasible balance systems
+        self._refuted: set[tuple] = set()
 
     def refutes_all(self, cycles) -> bool:
         """Rule (a), the all-cycles pumping prune: True when no trace can
@@ -201,22 +199,15 @@ class _TraceChecker:
 
     def _balance(self, T: OrderedTrace) -> tuple[int, ...] | None:
         system = build_balance_system(T, self.p, table=self.table)
-        cols = _columns(system.coeffs, len(T.cycles))
-        order = sorted(range(len(cols)), key=cols.__getitem__)
-        key = (system.rhs, tuple(cols[i] for i in order))
-        if key not in self._balances:
-            result = solve_system(system, node_budget=self.node_budget)
-            self._balances[key] = (tuple(result.witness[i] for i in order)
-                                   if result.feasible else None)
-        canon = self._balances[key]
-        if canon is None:
+        key = (system.rhs,
+               tuple(sorted(_columns(system.coeffs, len(T.cycles)))))
+        if key in self._refuted:
             return None
-        x = [0] * len(cols)
-        for i, v in zip(order, canon):
-            x[i] = v
-        if not system.satisfied_by(x):
-            raise WitnessError("memoised balance witness failed its re-check")
-        return tuple(x)
+        result = solve_system(system, node_budget=self.node_budget)
+        if not result.feasible:
+            self._refuted.add(key)
+            return None
+        return result.witness
 
     def check(self, T: OrderedTrace) -> FinitenessCertificate | None:
         if not T.cycles:
@@ -239,12 +230,48 @@ def check_trace(T: OrderedTrace, p: ParamList, *,
     test is a rational feasibility question and runs first; the balance
     test is the integer one and only runs when pumping holds.
     """
-    return _TraceChecker(_graph_for(p), p, node_budget).check(T)
+    return _TraceChecker(build(p.alphabet, p.max_len), p,
+                         node_budget).check(T)
+
+
+OnTrace = Callable[[OrderedTrace, tuple[OccTable, ...]], None]
+
+
+def _stream(traces: Iterator[OrderedTrace],
+            check: Callable[[OrderedTrace], object | None],
+            on_trace: Callable[[OrderedTrace], None] | None
+            ) -> tuple[object | None, int, str | None]:
+    """The one loop over traces: (result, traces_checked, cap).
+
+    Each trace is counted, shown to on_trace if given, then checked; the
+    first result that is not None ends the stream and is returned. A
+    check that runs out of solver budget leaves its trace undecided: the
+    hunt for a result goes on, but cap then names that budget, so the
+    caller cannot claim an exhaustive negative answer. A CapExceededError
+    from the stream cuts it short and becomes cap. Only the stream raises
+    CapExceededError; the checks raise BudgetExceededError at most.
+    """
+    checked = 0
+    cap = None
+    try:
+        for T in traces:
+            checked += 1
+            if on_trace is not None:
+                on_trace(T)
+            try:
+                result = check(T)
+            except BudgetExceededError as e:
+                cap = str(e)
+                continue
+            if result is not None:
+                return result, checked, None
+    except CapExceededError as e:
+        return None, checked, str(e)
+    return None, checked, cap
 
 
 def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
-                      on_trace: Callable[[OrderedTrace], None] | None = None
-                      ) -> FinitenessVerdict:
+                      on_trace: OnTrace | None = None) -> FinitenessVerdict:
     """Infinite with a certificate; Finite when rule (a) refutes every
     trace at once or the stream is exhausted; or Unknown when a cap or
     budget interfered.
@@ -252,41 +279,26 @@ def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
     Rule (b): the stream starts at cycle-set size 1. A cycle-free trace
     realises a single word, so check_trace refuses it, and skipping it
     loses no certificate. traces_checked therefore counts traces with
-    cycles only. on_trace, if given, is called with every trace checked,
-    in order, before it is checked.
+    cycles only. on_trace, if given, is called as on_trace(T, tables)
+    with every trace checked, in order, before it is checked; tables is
+    the decision's one OccTable, in a tuple.
     """
-    g = _graph_for(p, max_vertices=caps.max_vertices)
+    g = build(p.alphabet, p.max_len, max_vertices=caps.max_vertices)
     checker = _TraceChecker(g, p, caps.node_budget)
-    checked = 0
-    budget_hit: str | None = None
-    gen = enumerate_traces(g,
-                           max_cycles_per_trace=caps.max_cycles_per_trace,
-                           max_traces=caps.max_traces,
-                           min_cycles=1, prune=checker.refutes_all)
-    while True:
-        try:
-            T = next(gen)
-        except StopIteration:
-            if checker.pruned:
-                return FinitenessVerdict("finite", None, checked, pruned=True)
-            if budget_hit is not None:
-                return FinitenessVerdict("unknown", None, checked,
-                                         cap=budget_hit)
-            return FinitenessVerdict("finite", None, checked)
-        except CapExceededError as e:
-            return FinitenessVerdict("unknown", None, checked, cap=str(e))
-        checked += 1
-        if on_trace is not None:
-            on_trace(T)
-        try:
-            cert = checker.check(T)
-        except BudgetExceededError as e:
-            # this trace stays undecided; keep hunting for a certificate,
-            # but a later exhaustion can no longer claim Finite
-            budget_hit = str(e)
-            continue
-        if cert is not None:
-            return FinitenessVerdict("infinite", cert, checked)
+    traces = enumerate_traces(g,
+                              max_cycles_per_trace=caps.max_cycles_per_trace,
+                              max_traces=caps.max_traces,
+                              min_cycles=1, prune=checker.refutes_all)
+    tables = (checker.table,)
+    cert, checked, cap = _stream(
+        traces, checker.check,
+        None if on_trace is None else lambda T: on_trace(T, tables))
+    if cert is not None:
+        return FinitenessVerdict("infinite", cert, checked)
+    if cap is not None:
+        return FinitenessVerdict("unknown", None, checked, cap=cap)
+    # rule (a) ends the stream before its first trace, so no cap fired
+    return FinitenessVerdict("finite", None, checked, pruned=checker.pruned)
 
 
 def realize_walk(g: DeBruijnGraph, T: OrderedTrace, exponents):
@@ -311,7 +323,7 @@ def witness_family(cert: FinitenessCertificate, p: ParamList,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    g = _graph_for(p)
+    g = build(p.alphabet, p.max_len)
     exponents = [x + max(n - 1, 0) * y for x, y in zip(cert.x, cert.y)]
     walk = realize_walk(g, cert.trace, exponents)
     word = word_of_walk(g, walk)
@@ -322,7 +334,7 @@ def witness_family(cert: FinitenessCertificate, p: ParamList,
 
 def decide_equivalence(p1: ParamList, p2: ParamList,
                        caps: Caps = DEFAULT_CAPS, *,
-                       on_trace: Callable[[OrderedTrace], None] | None = None
+                       on_trace: OnTrace | None = None
                        ) -> EquivalenceVerdict:
     """Equal, NotEqual with a distinguishing word, or Unknown.
 
@@ -330,12 +342,13 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
     dimension. Phase 2 streams traces and tries to refute the per-trace
     agreement; any feasible negation branch is turned into a concrete
     word and re-validated before it is believed. on_trace, if given, is
-    called with every trace checked, in order, before it is checked.
+    called as on_trace(T, tables) with every trace checked, in order,
+    before it is checked; tables holds the decision's two OccTables.
     """
     if p1.alphabet != p2.alphabet:
         raise ValueError("parameter lists must share an alphabet")
     dim = max(p1.max_len, p2.max_len)
-    g = _graph_for(p1, dim, max_vertices=caps.max_vertices)
+    g = build(p1.alphabet, dim, max_vertices=caps.max_vertices)
 
     for w in p1.alphabet.words_shorter_than(dim):
         in1 = is_member(w, p1)
@@ -344,30 +357,18 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
             return EquivalenceVerdict("not_equal", w, 1 if in1 else 2, 0)
 
     tables = (OccTable(g, p1), OccTable(g, p2))
-    checked = 0
-    budget_hit: str | None = None
-    gen = enumerate_traces(g,
-                           max_cycles_per_trace=caps.max_cycles_per_trace,
-                           max_traces=caps.max_traces)
-    while True:
-        try:
-            T = next(gen)
-        except StopIteration:
-            if budget_hit is not None:
-                return EquivalenceVerdict("unknown", None, None, checked,
-                                          cap=budget_hit)
-            return EquivalenceVerdict("equal", None, None, checked)
-        except CapExceededError as e:
-            return EquivalenceVerdict("unknown", None, None, checked,
-                                      cap=str(e))
-        checked += 1
-        if on_trace is not None:
-            on_trace(T)
+
+    def separate(T: OrderedTrace) -> tuple[Word, int] | None:
+        """A word in exactly one language from the first feasible branch
+        of T, with the list it belongs to. A branch out of budget does
+        not stop the others; its error is raised only when none of them
+        separates."""
+        budget = None
         for branch in build_psi_branches(T, p1, p2, tables=tables):
             try:
                 result = solve_system(branch, node_budget=caps.node_budget)
             except BudgetExceededError as e:
-                budget_hit = str(e)
+                budget = e
                 continue
             if not result.feasible:
                 continue
@@ -379,8 +380,22 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
                 raise WitnessError(
                     f"branch witness {word_to_str(word)} does not separate "
                     f"the languages (branch {branch.label!r})")
-            return EquivalenceVerdict("not_equal", word, 1 if in1 else 2,
-                                      checked)
+            return word, 1 if in1 else 2
+        if budget is not None:
+            raise budget
+        return None
+
+    traces = enumerate_traces(g,
+                              max_cycles_per_trace=caps.max_cycles_per_trace,
+                              max_traces=caps.max_traces)
+    found, checked, cap = _stream(
+        traces, separate,
+        None if on_trace is None else lambda T: on_trace(T, tables))
+    if found is not None:
+        return EquivalenceVerdict("not_equal", *found, checked)
+    if cap is not None:
+        return EquivalenceVerdict("unknown", None, None, checked, cap=cap)
+    return EquivalenceVerdict("equal", None, None, checked)
 
 
 def timed(fn, *args, **kwargs):

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .debruijn import DeBruijnGraph, OccTable, build, walk_occ
+from .debruijn import OccTable, build, walk_occ
 from .errors import BudgetExceededError, WitnessError
 from .traces import OrderedTrace
 from .words import ParamList, add_vectors, occ_vector
@@ -610,10 +610,6 @@ def homogeneous_nontrivial(coeffs, n_vars: int | None = None) -> Feasibility:
 # system builders
 
 
-def _graph_for(params: ParamList, dim: int | None = None) -> DeBruijnGraph:
-    return build(params.alphabet, dim if dim is not None else params.max_len)
-
-
 def _trace_vectors(T: OrderedTrace, params: ParamList,
                    table: OccTable | None = None, dim: int | None = None):
     """Constant vector of the trace and one occurrence vector per cycle.
@@ -624,7 +620,7 @@ def _trace_vectors(T: OrderedTrace, params: ParamList,
     """
     if table is not None:
         return table.const(T.path), [table.column(c) for c in T.cycles]
-    g = _graph_for(params, dim)
+    g = build(params.alphabet, dim if dim is not None else params.max_len)
     start = occ_vector(g.vertex_word(T.path[0]), params)
     const = add_vectors(start, walk_occ(g, T.path, params))
     columns = [walk_occ(g, cyc, params) for cyc in T.cycles]

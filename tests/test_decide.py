@@ -2,19 +2,24 @@ import itertools
 
 import pytest
 
+import wordmix.decide
 from wordmix import (
     Alphabet,
+    BudgetExceededError,
     Caps,
     DimensionCapError,
     FinitenessCertificate,
     ParamList,
     build,
+    build_balance_system,
+    build_pumping_system,
     check_trace,
     decide_equivalence,
     decide_finiteness,
     is_member,
     is_trace,
     realize_walk,
+    solve_system,
     witness_family,
     word_from_str,
     word_to_str,
@@ -226,3 +231,63 @@ def test_equivalence_json_shape():
     assert d["verdict"] == "not_equal"
     assert set(d["certificate"]) == {"witness_word", "member_of"}
     assert isinstance(d["certificate"]["witness_word"], str)
+
+
+def _budget_fake(monkeypatch, raises):
+    """Route the decisions' solves through a fake that raises
+    BudgetExceededError("fake budget") on the calls raises(n, system)
+    picks (n counts from 1) and solves the others for real."""
+    calls = 0
+
+    def fake(system, **kwargs):
+        nonlocal calls
+        calls += 1
+        if raises(calls, system):
+            raise BudgetExceededError("fake budget")
+        return solve_system(system, **kwargs)
+    monkeypatch.setattr(wordmix.decide, "solve_system", fake)
+
+
+def test_finiteness_budget_on_every_solve_gives_unknown(monkeypatch):
+    """Every trace left undecided: the stream is exhausted, but the
+    verdict may not be finite."""
+    _budget_fake(monkeypatch, lambda n, system: True)
+    v = decide_finiteness(plist("01", "0", "1", "00", "11"))
+    assert (v.verdict, v.traces_checked, v.cap) == ("unknown", 1214,
+                                                   "fake budget")
+    assert v.certificate is None
+
+
+def test_finiteness_keeps_hunting_after_a_budget_hit(monkeypatch):
+    _budget_fake(monkeypatch, lambda n, system: n == 1)
+    p = plist("ab", "ab", "ba", "a")
+    v = decide_finiteness(p)
+    assert (v.verdict, v.traces_checked, v.cap) == ("infinite", 12, None)
+    cert = v.certificate
+    assert build_balance_system(cert.trace, p).satisfied_by(cert.x)
+    rows = build_pumping_system(cert.trace, p)
+    assert any(cert.y) and min(cert.y) >= 0
+    assert all(sum(a * y for a, y in zip(row, cert.y)) == 0 for row in rows)
+
+
+def test_equivalence_tries_the_other_branches_after_a_budget_hit(
+        monkeypatch):
+    """The branches that raise would settle the first trace; the others
+    of each trace are still tried, and one separates on the second."""
+    _budget_fake(monkeypatch, lambda n, system: (
+        system.label.startswith("list1")
+        and system.label.endswith("component 0 above component 1")))
+    p1, p2 = plist("ab", "ab", "ba"), plist("ab", "aa", "bb")
+    v = decide_equivalence(p1, p2)
+    assert (v.verdict, v.traces_checked, v.cap) == ("not_equal", 2, None)
+    assert is_member(v.witness, p1) != is_member(v.witness, p2)
+    assert is_member(v.witness, (p1, p2)[v.member_of - 1])
+
+
+def test_equivalence_budget_hit_on_an_equal_pair_gives_unknown(monkeypatch):
+    _budget_fake(monkeypatch, lambda n, system: n == 1)
+    v = decide_equivalence(plist("ab", "ab", "ba", "a"),
+                           plist("ab", "ba", "ab", "a", "a"))
+    assert (v.verdict, v.traces_checked, v.cap) == ("unknown", 1236,
+                                                   "fake budget")
+    assert v.witness is None and v.member_of is None

@@ -97,7 +97,7 @@ def test_memo_agrees_with_fresh_checks_on_every_trace():
                        for row in rows)
         # most answers came from the memo
         assert len(shared._pumps) < traces // 4
-        assert len(shared._balances) < max(certified, traces // 4)
+        assert len(shared._refuted) < max(certified, traces // 4)
 
 
 def test_decisions_leave_no_cyclic_garbage():
