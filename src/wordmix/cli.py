@@ -22,7 +22,7 @@ from .linarith import (DEFAULT_NODE_BUDGET, build_balance_system,
                        build_psi_branches, build_pumping_system,
                        is_pumping_witness)
 from .oracle import DEFAULT_WORD_BUDGET, census, enumerate_members
-from .traces import DEFAULT_MAX_CYCLES_PER_TRACE, DEFAULT_MAX_TRACES
+from .traces import DEFAULT_MAX_TRACES
 from .words import (Alphabet, ParamList, is_member, occ_vector,
                     word_from_str, word_to_str)
 
@@ -53,23 +53,26 @@ def _parse_words(alphabet: Alphabet, text: str) -> ParamList:
                                      for s in text.split(",")))
 
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _caps_from(args) -> Caps:
-    return Caps(max_vertices=args.max_vertices,
-                max_cycles_per_trace=args.max_cycles_per_trace,
-                max_traces=args.max_traces,
-                node_budget=args.solver_budget)
+    return Caps(max_traces=args.max_traces, node_budget=args.solver_budget)
 
 
 def _add_cap_flags(sub) -> None:
-    sub.add_argument("--max-vertices", type=int,
-                     default=DEFAULT_MAX_VERTICES,
-                     help="graph size cap (vertices)")
-    sub.add_argument("--max-traces", type=int, default=DEFAULT_MAX_TRACES,
+    sub.add_argument("--max-traces", type=_count, default=DEFAULT_MAX_TRACES,
                      help="stop after enumerating this many traces")
-    sub.add_argument("--max-cycles-per-trace", type=int,
-                     default=DEFAULT_MAX_CYCLES_PER_TRACE,
-                     help="largest cycle-set size considered per trace")
-    sub.add_argument("--solver-budget", type=int,
+    sub.add_argument("--solver-budget", type=_count,
                      default=DEFAULT_NODE_BUDGET,
                      help="node budget for the integer solver")
 
@@ -134,7 +137,7 @@ def _build_parser() -> _Parser:
              "infinite language")
     witness.add_argument("--alphabet", required=True)
     witness.add_argument("words", help="comma-separated parameter words")
-    witness.add_argument("--n", type=int, default=1)
+    witness.add_argument("--n", type=_count, default=1)
     witness.add_argument("--json", action="store_true")
     _add_cap_flags(witness)
     witness.set_defaults(func=_cmd_witness)
@@ -144,10 +147,10 @@ def _build_parser() -> _Parser:
         help="list all members up to a length bound (exhaustive)")
     enum.add_argument("--alphabet", required=True)
     enum.add_argument("words", help="comma-separated parameter words")
-    enum.add_argument("--maxlen", type=int, required=True)
+    enum.add_argument("--maxlen", type=_count, required=True)
     enum.add_argument("--census", action="store_true",
                       help="print length,count CSV instead of the words")
-    enum.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
+    enum.add_argument("--budget", type=_count, default=DEFAULT_WORD_BUDGET,
                       help="refuse to scan more words than this")
     enum.set_defaults(func=_cmd_enumerate)
 
@@ -160,7 +163,7 @@ def _build_parser() -> _Parser:
     graph.add_argument("--word",
                        help="overlay the walk of this word, split into "
                             "its decomposition (path solid, cycles dashed)")
-    graph.add_argument("--max-vertices", type=int,
+    graph.add_argument("--max-vertices", type=_count,
                        default=DEFAULT_MAX_VERTICES)
     graph.set_defaults(func=_cmd_graph)
 
@@ -216,9 +219,9 @@ def _report_not_infinite(p: ParamList, verdict, ms: float,
 def _cmd_finite(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     p = _parse_words(alphabet, args.words)
-    caps = _caps_from(args)
     on_trace = _dump_finite if args.dump_systems else None
-    verdict, ms = timed(decide_finiteness, p, caps, on_trace=on_trace)
+    verdict, ms = timed(decide_finiteness, p, _caps_from(args),
+                        on_trace=on_trace)
     if verdict.verdict != "infinite":
         return _report_not_infinite(p, verdict, ms, args.json)
     cert = verdict.certificate
@@ -226,7 +229,7 @@ def _cmd_finite(args) -> int:
     if args.json:
         print(json.dumps(verdict.to_json_dict(p, ms), sort_keys=True))
         return EXIT_TRUE
-    g = build(p.alphabet, p.max_len, max_vertices=caps.max_vertices)
+    g = build(p.alphabet, p.max_len)
     sample = witness_family(cert, p, 1)
     print("infinite")
     print(f"  trace path:  {_fmt_walk(g, cert.trace.path)}")
@@ -242,9 +245,9 @@ def _cmd_equiv(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     p1 = _parse_words(alphabet, args.list1)
     p2 = _parse_words(alphabet, args.list2)
-    caps = _caps_from(args)
     on_trace = _dump_equiv if args.dump_systems else None
-    verdict, ms = timed(decide_equivalence, p1, p2, caps, on_trace=on_trace)
+    verdict, ms = timed(decide_equivalence, p1, p2, _caps_from(args),
+                        on_trace=on_trace)
     if verdict.witness is not None:
         in1 = is_member(verdict.witness, p1)
         in2 = is_member(verdict.witness, p2)
@@ -283,10 +286,7 @@ def _cmd_member(args) -> int:
 def _cmd_witness(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     p = _parse_words(alphabet, args.words)
-    if args.n < 0:
-        raise ValueError("--n must be >= 0")
-    caps = _caps_from(args)
-    verdict, ms = timed(decide_finiteness, p, caps)
+    verdict, ms = timed(decide_finiteness, p, _caps_from(args))
     if verdict.verdict != "infinite":
         return _report_not_infinite(p, verdict, ms, args.json)
     word = witness_family(verdict.certificate, p, args.n)
@@ -305,8 +305,6 @@ def _cmd_witness(args) -> int:
 def _cmd_enumerate(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     p = _parse_words(alphabet, args.words)
-    if args.maxlen < 0:
-        raise ValueError("--maxlen must be >= 0")
     if args.census:
         sys.stdout.write(census(p, args.maxlen, budget=args.budget).to_csv())
     else:

@@ -5,7 +5,10 @@ is the longest parameter word, through one loop, _stream. Finiteness
 early-exits on the first trace whose balance and pumping systems are both
 feasible; equivalence must exhaust the traces, refuting every negation
 branch, before it may answer Equal. Caps and solver budgets surface as an
-Unknown verdict, never as a silently weakened answer.
+Unknown verdict, never as a silently weakened answer. The one exception
+is the graph build's fixed guard (debruijn.DEFAULT_MAX_VERTICES, 4096
+vertices): a list whose graph would exceed it raises DimensionCapError
+out of both decisions, which the CLI reports as unknown (exit 2).
 
 Each decision builds its graph once, plus one OccTable per parameter
 list, defines its per-trace check over them, hands both to _stream and
@@ -23,23 +26,22 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .debruijn import (DEFAULT_MAX_VERTICES, DeBruijnGraph, OccTable, build,
-                       word_of_walk)
+from .debruijn import DeBruijnGraph, OccTable, build, word_of_walk
 from .decomp import comp
 from .errors import BudgetExceededError, CapExceededError, WitnessError
 from .linarith import (DEFAULT_NODE_BUDGET, build_balance_system,
                        build_psi_branches, build_pumping_system,
                        homogeneous_nontrivial, is_pumping_witness,
                        pumping_rows, solve_system)
-from .traces import (DEFAULT_MAX_CYCLES_PER_TRACE, DEFAULT_MAX_TRACES,
-                     OrderedTrace, enumerate_traces)
+from .traces import DEFAULT_MAX_TRACES, OrderedTrace, enumerate_traces
 from .words import ParamList, Word, is_member, word_to_str
 
 
 @dataclass(frozen=True)
 class Caps:
-    max_vertices: int = DEFAULT_MAX_VERTICES
-    max_cycles_per_trace: int = DEFAULT_MAX_CYCLES_PER_TRACE
+    """The two resource knobs of a decision. Two fixed guards stay
+    outside them: at most 4096 graph vertices and 100000 rooted cycles."""
+
     max_traces: int = DEFAULT_MAX_TRACES
     node_budget: int = DEFAULT_NODE_BUDGET
 
@@ -283,12 +285,10 @@ def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
     with every trace checked, in order, before it is checked; tables is
     the decision's one OccTable, in a tuple.
     """
-    g = build(p.alphabet, p.max_len, max_vertices=caps.max_vertices)
+    g = build(p.alphabet, p.max_len)
     checker = _TraceChecker(g, p, caps.node_budget)
-    traces = enumerate_traces(g,
-                              max_cycles_per_trace=caps.max_cycles_per_trace,
-                              max_traces=caps.max_traces,
-                              min_cycles=1, prune=checker.refutes_all)
+    traces = enumerate_traces(g, max_traces=caps.max_traces, min_cycles=1,
+                              prune=checker.refutes_all)
     tables = (checker.table,)
     cert, checked, cap = _stream(
         traces, checker.check,
@@ -348,7 +348,7 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
     if p1.alphabet != p2.alphabet:
         raise ValueError("parameter lists must share an alphabet")
     dim = max(p1.max_len, p2.max_len)
-    g = build(p1.alphabet, dim, max_vertices=caps.max_vertices)
+    g = build(p1.alphabet, dim)
 
     for w in p1.alphabet.words_shorter_than(dim):
         in1 = is_member(w, p1)
@@ -385,9 +385,7 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
             raise budget
         return None
 
-    traces = enumerate_traces(g,
-                              max_cycles_per_trace=caps.max_cycles_per_trace,
-                              max_traces=caps.max_traces)
+    traces = enumerate_traces(g, max_traces=caps.max_traces)
     found, checked, cap = _stream(
         traces, separate,
         None if on_trace is None else lambda T: on_trace(T, tables))

@@ -670,8 +670,9 @@ def build_psi_branches(T: OrderedTrace, p1: ParamList, p2: ParamList,
     """
     if p1.alphabet != p2.alphabet:
         raise ValueError("parameter lists must share an alphabet")
-    dim = max(p1.max_len, p2.max_len)
     t1, t2 = tables if tables is not None else (None, None)
+    # only the table-free reference path reads the graph dimension
+    dim = max(p1.max_len, p2.max_len) if tables is None else None
     const1, cols1 = _trace_vectors(T, p1, t1, dim)
     const2, cols2 = _trace_vectors(T, p2, t2, dim)
     m = len(T.cycles)

@@ -27,7 +27,6 @@ from .decomp import Walk, check_walk, dec, is_cycle, is_path
 from .errors import CapExceededError, NotATraceError
 from .words import word_to_str
 
-DEFAULT_MAX_CYCLES_PER_TRACE = 12
 DEFAULT_MAX_TRACES = 1_000_000
 DEFAULT_MAX_CYCLES = 100_000
 
@@ -238,7 +237,6 @@ def enumerate_paths(g) -> Iterator[Walk]:
 
 
 def enumerate_traces(g, *,
-                     max_cycles_per_trace: int = DEFAULT_MAX_CYCLES_PER_TRACE,
                      max_traces: int = DEFAULT_MAX_TRACES,
                      min_cycles: int = 0,
                      prune: Callable[[tuple[Walk, ...]], bool] | None = None
@@ -256,7 +254,8 @@ def enumerate_traces(g, *,
     size grows from them, yielding each trace as its cycle set is first
     reached. The first size grows every path from scratch as the path is
     drawn, so an early exit never pays for paths it does not reach. A
-    size no path reaches ends the stream.
+    size no path reaches ends the stream, and one always exists, since a
+    trace attaches each cycle at most once.
 
     Traces with fewer than min_cycles cycles are skipped. prune, if
     given, is called once with every rooted cycle of g after they are
@@ -268,13 +267,9 @@ def enumerate_traces(g, *,
     if prune is not None and prune(cycles):
         return
     emitted = 0
-    size = min_cycles
     grown = ((path, _levels(path, min_cycles, cycles))
              for path in enumerate_paths(g))
     while True:
-        if size > max_cycles_per_trace:
-            raise CapExceededError(
-                f"traces with more than {max_cycles_per_trace} cycles may exist")
         kept: list[tuple[Walk, list[_State]]] = []
         for path, states in grown:
             level = []
@@ -293,4 +288,3 @@ def enumerate_traces(g, *,
         if not kept:
             return
         grown = ((path, _grow(level, cycles)) for path, level in kept)
-        size += 1

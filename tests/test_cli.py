@@ -267,6 +267,45 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["finite", "--alphabet", "ab", "--max-traces", "-1", "ab,ba,a"],
+    ["finite", "--alphabet", "ab", "--solver-budget", "-1", "ab,ba,a"],
+    ["enumerate", "--alphabet", "ab", "ab,ba", "--maxlen", "2",
+     "--budget", "-1"],
+    ["graph", "--alphabet", "ab", "--dim", "2", "--max-vertices", "-1"],
+    ["enumerate", "--alphabet", "ab", "ab,ba", "--maxlen", "-1"],
+    ["witness", "--alphabet", "ab", "a,b", "--n", "-1"],
+], ids=["max-traces", "solver-budget", "budget", "max-vertices", "maxlen",
+        "n"])
+def test_negative_count_is_a_usage_error(capsys, argv):
+    assert run(argv) == 64
+    _, err = _lines(capsys)
+    assert err[-1].endswith("expected an integer >= 0, got '-1'")
+
+
+@pytest.mark.parametrize("command", [
+    ["finite", "--alphabet", "ab", "ab,ba,a"],
+    ["equiv", "--alphabet", "ab", "a,b", "--", "b,a"],
+    ["witness", "--alphabet", "ab", "ab,ba,a"],
+])
+@pytest.mark.parametrize("flag", ["--max-vertices", "--max-cycles-per-trace"])
+def test_decisions_take_no_fixed_guard_flags(capsys, command, flag):
+    assert run(command[:1] + [flag, "100"] + command[1:]) == 64
+    capsys.readouterr()
+
+
+def test_graph_max_vertices(capsys):
+    # 2^3 = 8 vertices clears a cap of 8 but not one of 4
+    assert run(["graph", "--alphabet", "ab", "--dim", "3",
+                "--max-vertices", "8"]) == 0
+    out, _ = _lines(capsys)
+    assert out == ["D^3 over {a,b}: 8 vertices, 16 edges"]
+    assert run(["graph", "--alphabet", "ab", "--dim", "3",
+                "--max-vertices", "4"]) == 2
+    _, err = _lines(capsys)
+    assert err[0].startswith("unknown (")
+
+
 def test_comma_alphabet_form(capsys):
     code = run(["finite", "--alphabet", "a,b", "ab,ba,a"])
     out, _ = _lines(capsys)

@@ -122,13 +122,12 @@ def test_unknown_on_trace_cap():
 
 
 def test_dimension_cap_propagates():
+    # the fixed 4096-vertex guard: 2^13 = 8192 vertices is one size too big
+    p = plist("ab", "a" * 13)
     with pytest.raises(DimensionCapError):
-        decide_finiteness(plist("ab", "a" * 30))
-    # the cap is the knob: 2^3 = 8 vertices clears 8 but not 4
+        decide_finiteness(p)
     with pytest.raises(DimensionCapError):
-        decide_finiteness(plist("ab", "aaa"), Caps(max_vertices=4))
-    v = decide_finiteness(plist("ab", "aaa"), Caps(max_vertices=8))
-    assert v.verdict == "infinite"
+        decide_equivalence(p, plist("ab", "b" * 13))
 
 
 def test_unary_exhaustive():
