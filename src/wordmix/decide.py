@@ -17,22 +17,28 @@ each argued where it is implemented: (a) one pumping LP over all cycles
 can refute every trace at once (_TraceChecker.refutes_all), (b)
 cycle-free traces are not streamed (decide_finiteness), and (c) pumping
 solves and refuted balance systems are memoised on keys that forget the
-order of the cycles (_TraceChecker).
+order of the cycles (_TraceChecker). Equivalence applies two more, in
+_Separator: (d) a trace's branches holding one list's chain are built and
+solved only when that list's balance system is feasible, and (e) held
+balance systems and refuted branches are memoised. The balance memos of
+(c) and (e) share one key, _system_key, which also drops free columns and
+merges repeated ones.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .debruijn import DeBruijnGraph, OccTable, build, word_of_walk
 from .decomp import comp
 from .errors import BudgetExceededError, CapExceededError, WitnessError
-from .linarith import (DEFAULT_NODE_BUDGET, build_balance_system,
-                       build_psi_branches, build_pumping_system,
-                       homogeneous_nontrivial, is_pumping_witness,
-                       pumping_rows, solve_system)
+from .linarith import (DEFAULT_NODE_BUDGET, LinearSystem,
+                       build_balance_system, build_psi_branches,
+                       build_pumping_system, homogeneous_nontrivial,
+                       is_pumping_witness, pumping_rows, solve_system)
 from .traces import DEFAULT_MAX_TRACES, OrderedTrace, enumerate_traces
 from .words import ParamList, Word, is_member, word_to_str
 
@@ -127,6 +133,34 @@ def _columns(rows, m: int) -> list[tuple[int, ...]]:
     return list(zip(*rows)) if rows else [()] * m
 
 
+def _system_key(system: LinearSystem) -> tuple:
+    """A key that settles whether system has an integer solution, for
+    systems whose lower bounds are all 1, as every trace system's are.
+
+    Three moves keep the set of feasible systems. (1) Permuting the
+    columns permutes the solutions, since all lower bounds are equal; so
+    the columns are sorted. (2) A column that is zero in every row is
+    free: any value >= 1 meets the rows as well as any other; so it is
+    dropped. (3) r copies of a column c enter every row as s*c, where s
+    is the sum of their r variables, and s takes exactly the values
+    >= r; with y = s - (r-1) >= 1 they act like one copy y*c with the
+    right-hand side lowered by (r-1)*c, in 'eq' and 'ge' rows alike; so
+    repeats are merged that way. Systems with equal keys are therefore
+    feasible together or not at all, and the key itself reads as such a
+    system: its relations, its right-hand side and its columns, each
+    with lower bound 1.
+    """
+    if any(lo != 1 for lo in system.lower):
+        raise ValueError("_system_key needs every lower bound to be 1")
+    rhs = list(system.rhs)
+    cols = Counter(_columns(system.coeffs, system.n_vars))
+    for c, r in cols.items():
+        if r > 1:
+            rhs = [b - (r - 1) * a for b, a in zip(rhs, c)]
+    return (system.rels, tuple(rhs),
+            tuple(sorted(c for c in cols if any(c))))
+
+
 class _TraceChecker:
     """check_trace for one decision: one OccTable, one solve memo.
 
@@ -139,9 +173,9 @@ class _TraceChecker:
     witness, which is mapped to the trace's own cycle order and
     re-checked against the trace's own system before use: pump-feasible
     traces whose balance fails come back again and again. The balance
-    question, x >= 1 with B x = r, depends only on r and the multiset of
-    columns of B: the lower bounds are all 1, so permuting the cycles
-    permutes the solutions. Only refuted balance keys are kept, since a
+    question, x >= 1 with B x = r, depends only on _system_key, which
+    forgets the order of the cycles, drops columns that are zero and
+    merges repeated ones. Only refuted balance keys are kept, since a
     feasible balance system (met only after pumping holds) ends the
     decision. A solve that runs out of budget is not cached, so a later
     trace with the same key tries again, as it would without the memo.
@@ -156,7 +190,7 @@ class _TraceChecker:
         self.pruned = False
         # distinct pumping columns -> weight per column, or None
         self._pumps: dict[tuple, dict | None] = {}
-        # (rhs, sorted balance columns) of the infeasible balance systems
+        # _system_key of the infeasible balance systems
         self._refuted: set[tuple] = set()
 
     def refutes_all(self, cycles) -> bool:
@@ -201,8 +235,7 @@ class _TraceChecker:
 
     def _balance(self, T: OrderedTrace) -> tuple[int, ...] | None:
         system = build_balance_system(T, self.p, table=self.table)
-        key = (system.rhs,
-               tuple(sorted(_columns(system.coeffs, len(T.cycles)))))
+        key = _system_key(system)
         if key in self._refuted:
             return None
         result = solve_system(system, node_budget=self.node_budget)
@@ -332,6 +365,95 @@ def witness_family(cert: FinitenessCertificate, p: ParamList,
     return word
 
 
+class _Separator:
+    """check for one equivalence decision: two OccTables, one solve memo.
+
+    check(T) returns a word in exactly one language, with the list it
+    belongs to, from the first feasible negation branch of T in the order
+    of build_psi_branches, or None when every branch is infeasible. Two
+    rules skip infeasible branches without changing which one is first.
+
+    Rule (d), the held pre-check. Every branch holding list h's chain
+    carries that chain's rows (component j equals component j+1) under
+    the lower bounds x >= 1 of list h's balance system, whose rows say
+    component j equals component 0. Each row set is made of integer
+    combinations of the other's, so both have exactly the solutions
+    x >= 1 on which all k_h components agree. When the balance system is
+    infeasible, so is every branch holding list h, and they are neither
+    built nor solved.
+
+    Rule (e), the per-decision memo, on _system_key (argued there). Held
+    balance systems keep both outcomes, since a feasible one does not end
+    the decision and comes back on many traces. Branches keep only their
+    refutations: a feasible branch ends the decision and is solved in
+    full for its witness. A solve that runs out of budget is not cached,
+    and it skips nothing: a held one lets its branches run. Either kind
+    of budget error is raised only when no branch of T separates.
+    """
+
+    def __init__(self, g: DeBruijnGraph, p1: ParamList, p2: ParamList,
+                 node_budget: int):
+        self.g = g
+        self.lists = (p1, p2)
+        self.tables = (OccTable(g, p1), OccTable(g, p2))
+        self.node_budget = node_budget
+        # _system_key of a held balance system -> its feasibility
+        self._held: dict[tuple, bool] = {}
+        # _system_key of the infeasible branches
+        self._refuted: set[tuple] = set()
+
+    def _holds(self, T: OrderedTrace, h: int) -> bool:
+        """Whether list h's chain has a solution x >= 1 on T."""
+        system = build_balance_system(T, self.lists[h - 1],
+                                      table=self.tables[h - 1])
+        key = _system_key(system)
+        if key not in self._held:
+            self._held[key] = solve_system(
+                system, node_budget=self.node_budget).feasible
+        return self._held[key]
+
+    def _separating(self, T: OrderedTrace, branch: LinearSystem,
+                    x) -> tuple[Word, int]:
+        """The word of T at multiplicities x, re-checked to lie in exactly
+        one language, with the list it belongs to."""
+        p1, p2 = self.lists
+        word = word_of_walk(self.g, realize_walk(self.g, T, x))
+        in1 = is_member(word, p1)
+        in2 = is_member(word, p2)
+        if in1 == in2:
+            raise WitnessError(
+                f"branch witness {word_to_str(word)} does not separate "
+                f"the languages (branch {branch.label!r})")
+        return word, 1 if in1 else 2
+
+    def check(self, T: OrderedTrace) -> tuple[Word, int] | None:
+        budget = None
+        for h in (1, 2):
+            try:
+                if not self._holds(T, h):
+                    continue
+            except BudgetExceededError as e:
+                budget = e
+            for branch in build_psi_branches(T, *self.lists, self.tables,
+                                             held=h):
+                key = _system_key(branch)
+                if key in self._refuted:
+                    continue
+                try:
+                    result = solve_system(branch,
+                                          node_budget=self.node_budget)
+                except BudgetExceededError as e:
+                    budget = e
+                    continue
+                if not result.feasible:
+                    self._refuted.add(key)
+                    continue
+                return self._separating(T, branch, result.witness)
+        if budget is not None:
+            raise budget
+        return None
+
+
 def decide_equivalence(p1: ParamList, p2: ParamList,
                        caps: Caps = DEFAULT_CAPS, *,
                        on_trace: OnTrace | None = None
@@ -340,10 +462,11 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
 
     Phase 1 compares memberships on every word shorter than the graph
     dimension. Phase 2 streams traces and tries to refute the per-trace
-    agreement; any feasible negation branch is turned into a concrete
-    word and re-validated before it is believed. on_trace, if given, is
-    called as on_trace(T, tables) with every trace checked, in order,
-    before it is checked; tables holds the decision's two OccTables.
+    agreement (_Separator, with rules (d) and (e)); the first feasible
+    negation branch is turned into a concrete word and re-validated
+    before it is believed. on_trace, if given, is called as
+    on_trace(T, tables) with every trace checked, in order, before it is
+    checked; tables holds the decision's two OccTables.
     """
     if p1.alphabet != p2.alphabet:
         raise ValueError("parameter lists must share an alphabet")
@@ -356,38 +479,12 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
         if in1 != in2:
             return EquivalenceVerdict("not_equal", w, 1 if in1 else 2, 0)
 
-    tables = (OccTable(g, p1), OccTable(g, p2))
-
-    def separate(T: OrderedTrace) -> tuple[Word, int] | None:
-        """A word in exactly one language from the first feasible branch
-        of T, with the list it belongs to. A branch out of budget does
-        not stop the others; its error is raised only when none of them
-        separates."""
-        budget = None
-        for branch in build_psi_branches(T, p1, p2, tables=tables):
-            try:
-                result = solve_system(branch, node_budget=caps.node_budget)
-            except BudgetExceededError as e:
-                budget = e
-                continue
-            if not result.feasible:
-                continue
-            walk = realize_walk(g, T, result.witness)
-            word = word_of_walk(g, walk)
-            in1 = is_member(word, p1)
-            in2 = is_member(word, p2)
-            if in1 == in2:
-                raise WitnessError(
-                    f"branch witness {word_to_str(word)} does not separate "
-                    f"the languages (branch {branch.label!r})")
-            return word, 1 if in1 else 2
-        if budget is not None:
-            raise budget
-        return None
+    separator = _Separator(g, p1, p2, caps.node_budget)
+    tables = separator.tables
 
     traces = enumerate_traces(g, max_traces=caps.max_traces)
     found, checked, cap = _stream(
-        traces, separate,
+        traces, separator.check,
         None if on_trace is None else lambda T: on_trace(T, tables))
     if found is not None:
         return EquivalenceVerdict("not_equal", *found, checked)

@@ -658,8 +658,8 @@ def pumping_rows(columns, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def build_psi_branches(T: OrderedTrace, p1: ParamList, p2: ParamList,
-                       tables: tuple[OccTable, OccTable] | None = None
-                       ) -> list[LinearSystem]:
+                       tables: tuple[OccTable, OccTable] | None = None,
+                       held: int | None = None) -> list[LinearSystem]:
     """Negation branches of the per-trace agreement test for equivalence.
 
     The trace agrees with both lists iff the two equality chains have the
@@ -667,9 +667,15 @@ def build_psi_branches(T: OrderedTrace, p1: ParamList, p2: ParamList,
     is one way to refute that: one chain holds while some adjacent pair of
     the other is strictly ordered. The trace fails iff some branch is
     feasible, and the branch witness pinpoints a separating word.
+
+    The branches holding list 1's chain come first, then those holding
+    list 2's. held = 1 or 2 returns only that list's share: the same
+    systems, in the same order.
     """
     if p1.alphabet != p2.alphabet:
         raise ValueError("parameter lists must share an alphabet")
+    if held not in (None, 1, 2):
+        raise ValueError("held must be 1, 2 or None")
     t1, t2 = tables if tables is not None else (None, None)
     # only the table-free reference path reads the graph dimension
     dim = max(p1.max_len, p2.max_len) if tables is None else None
@@ -695,16 +701,18 @@ def build_psi_branches(T: OrderedTrace, p1: ParamList, p2: ParamList,
     eq2_rows, eq2_rhs = chain_rows(const2, cols2, p2.k)
 
     branches = []
-    for held, held_rows, held_rhs, broken_const, broken_cols, broken_k in (
+    for h, held_rows, held_rhs, broken_const, broken_cols, broken_k in (
             (1, eq1_rows, eq1_rhs, const2, cols2, p2.k),
             (2, eq2_rows, eq2_rhs, const1, cols1, p1.k)):
+        if held not in (None, h):
+            continue
         for j in range(broken_k - 1):
             for a, b, tag in ((j, j + 1, "above"), (j + 1, j, "below")):
                 row, bound = strict_row(broken_const, broken_cols, a, b)
                 coeffs = tuple(held_rows) + (row,)
                 rels = ("eq",) * len(held_rows) + ("ge",)
                 rhs = tuple(held_rhs) + (bound,)
-                label = (f"list{held} balanced, other pair {j} "
+                label = (f"list{h} balanced, other pair {j} "
                          f"component {a} {tag} component {b}")
                 branches.append(LinearSystem(coeffs, rels, rhs, lower,
                                              label=label))

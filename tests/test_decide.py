@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,10 +13,12 @@ from wordmix import (
     ParamList,
     build,
     build_balance_system,
+    build_psi_branches,
     build_pumping_system,
     check_trace,
     decide_equivalence,
     decide_finiteness,
+    enumerate_traces,
     is_member,
     is_trace,
     realize_walk,
@@ -24,6 +27,12 @@ from wordmix import (
     word_from_str,
     word_to_str,
 )
+from wordmix.debruijn import OccTable, word_of_walk
+from wordmix.decide import _Separator
+from wordmix.errors import WitnessError
+from wordmix.linarith import DEFAULT_NODE_BUDGET
+from wordmix.traces import OrderedTrace
+from wordmix.words import Word
 
 from conftest import plist
 
@@ -290,3 +299,98 @@ def test_equivalence_budget_hit_on_an_equal_pair_gives_unknown(monkeypatch):
     assert (v.verdict, v.traces_checked, v.cap) == ("unknown", 1236,
                                                    "fake budget")
     assert v.witness is None and v.member_of is None
+
+
+def test_equivalence_held_budget_skips_no_branch(monkeypatch):
+    """A held balance solve out of budget lets its branches run, and its
+    error surfaces only on a trace that nothing separates."""
+    p1, p2 = plist("ab", "ab", "ba"), plist("ab", "aa", "bb")
+    unfaked = decide_equivalence(p1, p2)
+    assert unfaked.verdict == "not_equal"
+    _budget_fake(monkeypatch, lambda n, system: system.label == "balance")
+    assert decide_equivalence(p1, p2) == unfaked
+    v = decide_equivalence(plist("ab", "ab", "ba", "a"),
+                           plist("ab", "ba", "ab", "a", "a"))
+    assert (v.verdict, v.traces_checked, v.cap) == ("unknown", 1236,
+                                                   "fake budget")
+
+
+def reference_separator(p1, p2, caps=Caps()):
+    """The per-trace check of decide_equivalence before the held
+    pre-check and the memo, kept verbatim as the differential reference:
+    (graph, tables, separate)."""
+    dim = max(p1.max_len, p2.max_len)
+    g = build(p1.alphabet, dim)
+    tables = (OccTable(g, p1), OccTable(g, p2))
+
+    def separate(T: OrderedTrace) -> tuple[Word, int] | None:
+        """A word in exactly one language from the first feasible branch
+        of T, with the list it belongs to. A branch out of budget does
+        not stop the others; its error is raised only when none of them
+        separates."""
+        budget = None
+        for branch in build_psi_branches(T, p1, p2, tables=tables):
+            try:
+                result = solve_system(branch, node_budget=caps.node_budget)
+            except BudgetExceededError as e:
+                budget = e
+                continue
+            if not result.feasible:
+                continue
+            walk = realize_walk(g, T, result.witness)
+            word = word_of_walk(g, walk)
+            in1 = is_member(word, p1)
+            in2 = is_member(word, p2)
+            if in1 == in2:
+                raise WitnessError(
+                    f"branch witness {word_to_str(word)} does not separate "
+                    f"the languages (branch {branch.label!r})")
+            return word, 1 if in1 else 2
+        if budget is not None:
+            raise budget
+        return None
+
+    return g, tables, separate
+
+
+def _recipe_pairs(seed, count):
+    """count not-equal pairs of the equiv-n2 recipe: 2-5 words of length
+    1-2 over ab, each list with a word of length 2, separated by a word
+    of length at most 4."""
+    rng = random.Random(seed)
+
+    def recipe_list():
+        return ["".join(rng.choice("ab") for _ in range(rng.randint(1, 2)))
+                for _ in range(rng.randint(2, 5))]
+
+    pairs = []
+    while len(pairs) < count:
+        p1, p2 = plist("ab", *recipe_list()), plist("ab", *recipe_list())
+        if min(p1.max_len, p2.max_len) < 2:
+            continue
+        if any(is_member(w, p1) != is_member(w, p2)
+               for n in range(5) for w in itertools.product("ab", repeat=n)):
+            pairs.append((p1, p2))
+    return pairs
+
+
+def test_separator_matches_the_reference_loop():
+    """Per trace, the decision's check (held pre-check and memo) gives
+    what the old per-branch loop gives: None, or the same word and list.
+    Every trace of two equal pairs, the first 700 of a third, and the
+    first 80 of 30 not-equal pairs, each of which some of them separate."""
+    equal = [(plist("ab", "ab", "ba", "a"), plist("ab", "ba", "ab", "a", "a"),
+              None, False),
+             (plist("ab", "b", "aa"), plist("ab", "aa", "b", "b"), None, False),
+             (plist("ab", "a", "aa", "b"), plist("ab", "ab", "ba", "a", "b"),
+              700, False)]
+    not_equal = [(p1, p2, 80, True) for p1, p2 in _recipe_pairs(1, 30)]
+    for p1, p2, limit, differ in equal + not_equal:
+        g, tables, separate = reference_separator(p1, p2)
+        check = _Separator(g, p1, p2, DEFAULT_NODE_BUDGET).check
+        separated = 0
+        for T in itertools.islice(enumerate_traces(g), limit):
+            expected = separate(T)
+            assert check(T) == expected, (p1.words, p2.words, T)
+            separated += expected is not None
+        assert (separated > 0) == differ, (p1.words, p2.words)

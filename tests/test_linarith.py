@@ -12,11 +12,14 @@ from wordmix import (
     build_balance_system,
     build_psi_branches,
     build_pumping_system,
+    enumerate_traces,
     homogeneous_nontrivial,
     ilp_feasible,
     is_trace,
     solve_system,
 )
+
+from wordmix.debruijn import OccTable
 
 from conftest import plist
 
@@ -208,6 +211,25 @@ def test_psi_branches_permuted_list():
     p2 = plist("ab", "a", "ab", "ba")
     for b in build_psi_branches(T1, p1, p2):
         assert not solve_system(b).feasible
+
+
+def test_psi_branches_held_shares_concatenate():
+    """held=1 and held=2 build the two shares of the full list, in order,
+    with or without tables."""
+    p1 = plist("ab", "ab", "ba", "a")
+    p2 = plist("ab", "ab", "ba", "a", "b")
+    tables = (OccTable(D2, p1), OccTable(D2, p2))
+    for T in list(enumerate_traces(D2))[::50]:
+        for tabs in (None, tables):
+            both = build_psi_branches(T, p1, p2, tabs)
+            one = build_psi_branches(T, p1, p2, tabs, held=1)
+            two = build_psi_branches(T, p1, p2, tabs, held=2)
+            assert both == one + two
+            assert len(one) == 2 * (p2.k - 1) and len(two) == 2 * (p1.k - 1)
+            assert all(b.label.startswith("list1") for b in one)
+            assert all(b.label.startswith("list2") for b in two)
+    with pytest.raises(ValueError):
+        build_psi_branches(T1, p1, p2, held=3)
 
 
 def test_psi_branches_alphabet_mismatch():

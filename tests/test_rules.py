@@ -1,7 +1,8 @@
 """The per-decision rules of decide_finiteness, checked against independent
 references: (a) the all-cycles pumping prune, (b) skipping cycle-free
-traces, (c) the per-decision solve memo; plus the witness checks that must
-survive python -O and the absence of cyclic garbage per decision."""
+traces, (c) the per-decision solve memo and the system key it shares with
+equivalence's memo; plus the witness checks that must survive python -O
+and the absence of cyclic garbage per decision."""
 
 import gc
 import itertools
@@ -9,12 +10,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
-from wordmix import (build, build_balance_system, build_pumping_system,
-                     check_trace, decide_finiteness, enumerate_members,
-                     enumerate_traces, homogeneous_nontrivial)
-from wordmix.decide import _TraceChecker
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wordmix import (LinearSystem, build, build_balance_system,
+                     build_pumping_system, check_trace, decide_finiteness,
+                     enumerate_members, enumerate_traces,
+                     homogeneous_nontrivial, solve_system)
+from wordmix.decide import _system_key, _TraceChecker
 
 from conftest import plist
 
@@ -98,6 +104,60 @@ def test_memo_agrees_with_fresh_checks_on_every_trace():
         # most answers came from the memo
         assert len(shared._pumps) < traces // 4
         assert len(shared._refuted) < max(certified, traces // 4)
+
+
+def _system(columns, rels, rhs) -> LinearSystem:
+    """The system with these columns, each with lower bound 1."""
+    coeffs = tuple(zip(*columns)) if columns else ((),) * len(rels)
+    return LinearSystem(coeffs, tuple(rels), tuple(rhs), (1,) * len(columns))
+
+
+@st.composite
+def _same_key_pair(draw):
+    """A system with lower bounds all 1, at least one zero column and one
+    repeated column, and a second system made from it by the moves the
+    key forgets: the columns shuffled, the zero columns recounted, and
+    each nonzero column repeated r' times instead of r, with r' - r times
+    that column added to the right-hand side."""
+    m = draw(st.integers(1, 3))
+    column = st.tuples(*[st.integers(-2, 2)] * m)
+    rels = draw(st.lists(st.sampled_from(("eq", "ge")),
+                         min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    base = draw(st.lists(column, min_size=1, max_size=3))
+    columns = [(0,) * m] + [base[0]] + [c for c in base
+                                       for _ in range(draw(st.integers(1, 2)))]
+    columns = draw(st.permutations(columns))
+    other_cols = [(0,) * m] * draw(st.integers(0, 2))
+    other_rhs = list(rhs)
+    for c, r in Counter(columns).items():
+        if not any(c):
+            continue
+        again = draw(st.integers(1, 3))
+        other_cols += [c] * again
+        other_rhs = [b + (again - r) * a for b, a in zip(other_rhs, c)]
+    other_cols = draw(st.permutations(other_cols))
+    return (_system(columns, rels, rhs),
+            _system(other_cols, rels, other_rhs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_same_key_pair())
+def test_system_key_keeps_feasibility(pair):
+    """Systems with one key are feasible together or not at all, and so is
+    the system the key reads as."""
+    original, other = pair
+    key = _system_key(original)
+    assert _system_key(other) == key
+    rels, rhs, columns = key
+    feasible = solve_system(original).feasible
+    assert solve_system(other).feasible == feasible
+    assert solve_system(_system(columns, rels, rhs)).feasible == feasible
+
+
+def test_system_key_needs_lower_bounds_of_one():
+    with pytest.raises(ValueError):
+        _system_key(LinearSystem(((1, 2),), ("eq",), (3,), (1, 0)))
 
 
 def test_decisions_leave_no_cyclic_garbage():
