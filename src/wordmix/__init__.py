@@ -11,7 +11,7 @@ multiplicities, or a concrete distinguishing word.
 from .debruijn import (DeBruijnGraph, build, to_dot, walk_occ, walk_of_word,
                        word_of_walk)
 from .decide import (DEFAULT_CAPS, Caps, EquivalenceVerdict,
-                     FinitenessCertificate, FinitenessVerdict, check_trace,
+                     FinitenessCertificate, FinitenessVerdict,
                      decide_equivalence, decide_finiteness, realize_walk,
                      witness_family)
 from .decomp import (Decomposition, ExplicitGraph, check_walk, comp,
@@ -43,7 +43,7 @@ __all__ = [
     "OrderedTrace", "OutOfRangeError", "ParamList", "Trace", "Word",
     "add_vectors", "build", "build_balance_system", "build_psi_branches",
     "build_pumping_system", "census",
-    "check_trace", "check_walk", "comp", "complete_graph",
+    "check_walk", "comp", "complete_graph",
     "count_occurrences", "dec", "decide_equivalence", "decide_finiteness",
     "diff", "enumerate_cycles", "enumerate_members", "enumerate_paths",
     "enumerate_traces", "enumerate_walk_traces", "homogeneous_nontrivial",

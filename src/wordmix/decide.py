@@ -4,25 +4,20 @@ Both procedures stream the traces of the de Bruijn graph whose dimension
 is the longest parameter word, through one loop, _stream. Finiteness
 early-exits on the first trace whose balance and pumping systems are both
 feasible; equivalence must exhaust the traces, refuting every negation
-branch, before it may answer Equal. Caps and solver budgets surface as an
-Unknown verdict, never as a silently weakened answer. The one exception
-is the graph build's fixed guard (debruijn.DEFAULT_MAX_VERTICES, 4096
-vertices): a list whose graph would exceed it raises DimensionCapError
-out of both decisions, which the CLI reports as unknown (exit 2).
+branch, before it may answer Equal. Caps, solver budgets and the graph
+build's fixed guard (debruijn.DEFAULT_MAX_VERTICES, 4096 vertices)
+surface as an Unknown verdict, never as a silently weakened answer.
 
 Each decision builds its graph once, plus one OccTable per parameter
 list, defines its per-trace check over them, hands both to _stream and
-maps what comes back to its verdict. Finiteness also applies three rules,
-each argued where it is implemented: (a) one pumping LP over all cycles
-can refute every trace at once (_TraceChecker.refutes_all), (b)
-cycle-free traces are not streamed (decide_finiteness), and (c) pumping
-solves and refuted balance systems are memoised on keys that forget the
-order of the cycles (_TraceChecker). Equivalence applies two more, in
-_Separator: (d) a trace's branches holding one list's chain are built and
-solved only when that list's balance system is feasible, and (e) held
-balance systems and refuted branches are memoised. The balance memos of
-(c) and (e) share one key, _system_key, which also drops free columns and
-merges repeated ones.
+maps what comes back to its verdict. Four rules apply, each argued where
+it is implemented. Finiteness: (a) one pumping LP over all cycles can
+refute every trace at once (_TraceChecker.refutes_all), and (b)
+cycle-free traces are not streamed (decide_finiteness). Both decisions:
+(c) every solve goes through one per-decision memo, _Solves, on keys
+that forget the order of the cycles. Equivalence: (d) a trace's branches
+holding one list's chain are built and solved only when that list's
+balance system is feasible (_Separator).
 """
 
 from __future__ import annotations
@@ -34,7 +29,8 @@ from dataclasses import dataclass
 
 from .debruijn import DeBruijnGraph, OccTable, build, word_of_walk
 from .decomp import comp
-from .errors import BudgetExceededError, CapExceededError, WitnessError
+from .errors import (BudgetExceededError, CapExceededError,
+                     DimensionCapError, WitnessError)
 from .linarith import (DEFAULT_NODE_BUDGET, LinearSystem,
                        build_balance_system, build_psi_branches,
                        build_pumping_system, homogeneous_nontrivial,
@@ -161,37 +157,88 @@ def _system_key(system: LinearSystem) -> tuple:
             tuple(sorted(c for c in cols if any(c))))
 
 
-class _TraceChecker:
-    """check_trace for one decision: one OccTable, one solve memo.
+class _Solves:
+    """Every solve of one decision, memoised: rule (c).
 
-    Rule (c), the per-decision memo. The pumping question, a nonzero
-    y >= 0 with A y = 0, depends only on the set of distinct columns of
-    A: a solution over the distinct columns is one over the trace once
-    each column's weight goes to its first cycle and repeats get 0, and
-    summing a trace's solution over equal columns gives one over the
-    distinct set. Each pumping solve is cached on that set with its
-    witness, which is mapped to the trace's own cycle order and
-    re-checked against the trace's own system before use: pump-feasible
-    traces whose balance fails come back again and again. The balance
-    question, x >= 1 with B x = r, depends only on _system_key, which
-    forgets the order of the cycles, drops columns that are zero and
-    merges repeated ones. Only refuted balance keys are kept, since a
-    feasible balance system (met only after pumping holds) ends the
-    decision. A solve that runs out of budget is not cached, so a later
-    trace with the same key tries again, as it would without the memo.
-    Both memos hold one entry per distinct system met and live as long
-    as the decision.
+    pumping(rows, m) asks for a nonzero y >= 0 with rows . y = 0, for
+    each trace of a finiteness decision and for rule (a). feasible(system)
+    asks whether some x >= 1 solves system, for equivalence's held
+    balance systems. witness(system) asks for that x, for finiteness's
+    balance systems and equivalence's branches.
+
+    The pumping question depends only on the set of distinct columns of
+    rows: a solution over the distinct columns is one over rows once each
+    column's weight goes to its first copy and repeats get 0, and summing
+    a solution over equal columns gives one over the distinct set. Each
+    pumping solve is cached on that set with its witness, which is mapped
+    to the caller's column order and re-checked against the caller's own
+    rows before use: pump-feasible traces whose balance fails come back
+    again and again.
+
+    The other two questions depend only on _system_key, which forgets the
+    order of the cycles, drops columns that are zero and merges repeated
+    ones; they share one memo of outcomes. feasible answers from it
+    whenever it can: a feasible held system does not end the decision
+    and comes back on many traces. witness answers a cached refutation at
+    once and otherwise solves in full, since its caller needs the
+    solution, and a feasible system ends the decision that asks for one.
+    A solve that runs out of budget is not cached, so a later query with
+    the same key tries again, as it would without the memo. Every memo
+    holds one entry per distinct system met and lives as long as the
+    decision.
     """
+
+    def __init__(self, node_budget: int):
+        self.node_budget = node_budget
+        # distinct pumping columns -> weight per column, or None
+        self._pumps: dict[tuple, dict | None] = {}
+        # _system_key -> whether the system has a solution x >= 1
+        self._systems: dict[tuple, bool] = {}
+
+    def pumping(self, rows, m: int) -> tuple[int, ...] | None:
+        """A nonzero y >= 0 with rows . y = 0 over m columns, or None."""
+        cols = _columns(rows, m)
+        key = tuple(sorted(set(cols)))
+        if key not in self._pumps:
+            result = homogeneous_nontrivial(tuple(zip(*key)), len(key))
+            self._pumps[key] = (dict(zip(key, result.witness))
+                                if result.feasible else None)
+        weights = self._pumps[key]
+        if weights is None:
+            return None
+        seen = set()
+        y = []
+        for c in cols:
+            y.append(0 if c in seen else weights[c])
+            seen.add(c)
+        if not is_pumping_witness(rows, y):
+            raise WitnessError("memoised pumping witness failed its re-check")
+        return tuple(y)
+
+    def feasible(self, system: LinearSystem) -> bool:
+        key = _system_key(system)
+        if key not in self._systems:
+            self._systems[key] = solve_system(
+                system, node_budget=self.node_budget).feasible
+        return self._systems[key]
+
+    def witness(self, system: LinearSystem) -> tuple[int, ...] | None:
+        key = _system_key(system)
+        if self._systems.get(key) is False:
+            return None
+        result = solve_system(system, node_budget=self.node_budget)
+        self._systems[key] = result.feasible
+        return result.witness
+
+
+class _TraceChecker:
+    """The finiteness check of one decision: one OccTable, one _Solves."""
 
     def __init__(self, g: DeBruijnGraph, p: ParamList, node_budget: int):
         self.p = p
         self.table = OccTable(g, p)
-        self.node_budget = node_budget
+        self.solves = _Solves(node_budget)
         self.pruned = False
-        # distinct pumping columns -> weight per column, or None
-        self._pumps: dict[tuple, dict | None] = {}
-        # _system_key of the infeasible balance systems
-        self._refuted: set[tuple] = set()
 
     def refutes_all(self, cycles) -> bool:
         """Rule (a), the all-cycles pumping prune: True when no trace can
@@ -205,68 +252,28 @@ class _TraceChecker:
         is finite, whatever the trace caps would have cut off.
         """
         rows = pumping_rows([self.table.column(c) for c in cycles], self.p.k)
-        self.pruned = self._pump_weights(_columns(rows, len(cycles))) is None
+        self.pruned = self.solves.pumping(rows, len(cycles)) is None
         return self.pruned
 
-    def _pump_weights(self, cols) -> dict | None:
-        """A nonzero y >= 0 over the distinct columns, as column -> weight,
-        or None when there is none; memoised on the set of columns."""
-        key = tuple(sorted(set(cols)))
-        if key not in self._pumps:
-            result = homogeneous_nontrivial(tuple(zip(*key)), len(key))
-            self._pumps[key] = (dict(zip(key, result.witness))
-                                if result.feasible else None)
-        return self._pumps[key]
-
-    def _pumping(self, T: OrderedTrace) -> tuple[int, ...] | None:
-        rows = build_pumping_system(T, self.p, table=self.table)
-        cols = _columns(rows, len(T.cycles))
-        weights = self._pump_weights(cols)
-        if weights is None:
-            return None
-        seen = set()
-        y = []
-        for c in cols:
-            y.append(0 if c in seen else weights[c])
-            seen.add(c)
-        if not is_pumping_witness(rows, y):
-            raise WitnessError("memoised pumping witness failed its re-check")
-        return tuple(y)
-
-    def _balance(self, T: OrderedTrace) -> tuple[int, ...] | None:
-        system = build_balance_system(T, self.p, table=self.table)
-        key = _system_key(system)
-        if key in self._refuted:
-            return None
-        result = solve_system(system, node_budget=self.node_budget)
-        if not result.feasible:
-            self._refuted.add(key)
-            return None
-        return result.witness
-
     def check(self, T: OrderedTrace) -> FinitenessCertificate | None:
+        """Certificate for T if it satisfies both conditions, else None.
+
+        A trace without cycles has nothing to pump and gets None. The
+        pumping test is a rational feasibility question and runs first;
+        the balance test is the integer one and only runs when pumping
+        holds.
+        """
         if not T.cycles:
             return None
-        y = self._pumping(T)
+        y = self.solves.pumping(
+            build_pumping_system(T, self.p, table=self.table), len(T.cycles))
         if y is None:
             return None
-        x = self._balance(T)
+        x = self.solves.witness(
+            build_balance_system(T, self.p, table=self.table))
         if x is None:
             return None
         return FinitenessCertificate(T, x, y)
-
-
-def check_trace(T: OrderedTrace, p: ParamList, *,
-                node_budget: int = DEFAULT_NODE_BUDGET
-                ) -> FinitenessCertificate | None:
-    """Certificate for T if it satisfies both conditions, else None.
-
-    A trace without cycles has nothing to pump and gets None. The pumping
-    test is a rational feasibility question and runs first; the balance
-    test is the integer one and only runs when pumping holds.
-    """
-    return _TraceChecker(build(p.alphabet, p.max_len), p,
-                         node_budget).check(T)
 
 
 OnTrace = Callable[[OrderedTrace, tuple[OccTable, ...]], None]
@@ -312,13 +319,16 @@ def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
     budget interfered.
 
     Rule (b): the stream starts at cycle-set size 1. A cycle-free trace
-    realises a single word, so check_trace refuses it, and skipping it
-    loses no certificate. traces_checked therefore counts traces with
-    cycles only. on_trace, if given, is called as on_trace(T, tables)
-    with every trace checked, in order, before it is checked; tables is
-    the decision's one OccTable, in a tuple.
+    realises a single word, so _TraceChecker.check refuses it, and
+    skipping it loses no certificate. traces_checked therefore counts
+    traces with cycles only. on_trace, if given, is called as
+    on_trace(T, tables) with every trace checked, in order, before it is
+    checked; tables is the decision's one OccTable, in a tuple.
     """
-    g = build(p.alphabet, p.max_len)
+    try:
+        g = build(p.alphabet, p.max_len)
+    except DimensionCapError as e:
+        return FinitenessVerdict("unknown", None, 0, cap=str(e))
     checker = _TraceChecker(g, p, caps.node_budget)
     traces = enumerate_traces(g, max_traces=caps.max_traces, min_cycles=1,
                               prune=checker.refutes_all)
@@ -366,12 +376,13 @@ def witness_family(cert: FinitenessCertificate, p: ParamList,
 
 
 class _Separator:
-    """check for one equivalence decision: two OccTables, one solve memo.
+    """The equivalence check of one decision: two OccTables, one _Solves.
 
     check(T) returns a word in exactly one language, with the list it
     belongs to, from the first feasible negation branch of T in the order
-    of build_psi_branches, or None when every branch is infeasible. Two
-    rules skip infeasible branches without changing which one is first.
+    of build_psi_branches, or None when every branch is infeasible. Rules
+    (c) and (d) skip infeasible branches without changing which one is
+    first.
 
     Rule (d), the held pre-check. Every branch holding list h's chain
     carries that chain's rows (component j equals component j+1) under
@@ -380,15 +391,9 @@ class _Separator:
     combinations of the other's, so both have exactly the solutions
     x >= 1 on which all k_h components agree. When the balance system is
     infeasible, so is every branch holding list h, and they are neither
-    built nor solved.
-
-    Rule (e), the per-decision memo, on _system_key (argued there). Held
-    balance systems keep both outcomes, since a feasible one does not end
-    the decision and comes back on many traces. Branches keep only their
-    refutations: a feasible branch ends the decision and is solved in
-    full for its witness. A solve that runs out of budget is not cached,
-    and it skips nothing: a held one lets its branches run. Either kind
-    of budget error is raised only when no branch of T separates.
+    built nor solved. A pre-check that runs out of budget skips nothing:
+    its branches run. Either kind of budget error is raised only when no
+    branch of T separates.
     """
 
     def __init__(self, g: DeBruijnGraph, p1: ParamList, p2: ParamList,
@@ -396,21 +401,7 @@ class _Separator:
         self.g = g
         self.lists = (p1, p2)
         self.tables = (OccTable(g, p1), OccTable(g, p2))
-        self.node_budget = node_budget
-        # _system_key of a held balance system -> its feasibility
-        self._held: dict[tuple, bool] = {}
-        # _system_key of the infeasible branches
-        self._refuted: set[tuple] = set()
-
-    def _holds(self, T: OrderedTrace, h: int) -> bool:
-        """Whether list h's chain has a solution x >= 1 on T."""
-        system = build_balance_system(T, self.lists[h - 1],
-                                      table=self.tables[h - 1])
-        key = _system_key(system)
-        if key not in self._held:
-            self._held[key] = solve_system(
-                system, node_budget=self.node_budget).feasible
-        return self._held[key]
+        self.solves = _Solves(node_budget)
 
     def _separating(self, T: OrderedTrace, branch: LinearSystem,
                     x) -> tuple[Word, int]:
@@ -430,25 +421,20 @@ class _Separator:
         budget = None
         for h in (1, 2):
             try:
-                if not self._holds(T, h):
+                if not self.solves.feasible(build_balance_system(
+                        T, self.lists[h - 1], table=self.tables[h - 1])):
                     continue
             except BudgetExceededError as e:
                 budget = e
             for branch in build_psi_branches(T, *self.lists, self.tables,
                                              held=h):
-                key = _system_key(branch)
-                if key in self._refuted:
-                    continue
                 try:
-                    result = solve_system(branch,
-                                          node_budget=self.node_budget)
+                    x = self.solves.witness(branch)
                 except BudgetExceededError as e:
                     budget = e
                     continue
-                if not result.feasible:
-                    self._refuted.add(key)
-                    continue
-                return self._separating(T, branch, result.witness)
+                if x is not None:
+                    return self._separating(T, branch, x)
         if budget is not None:
             raise budget
         return None
@@ -462,7 +448,7 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
 
     Phase 1 compares memberships on every word shorter than the graph
     dimension. Phase 2 streams traces and tries to refute the per-trace
-    agreement (_Separator, with rules (d) and (e)); the first feasible
+    agreement (_Separator, with rules (c) and (d)); the first feasible
     negation branch is turned into a concrete word and re-validated
     before it is believed. on_trace, if given, is called as
     on_trace(T, tables) with every trace checked, in order, before it is
@@ -471,7 +457,10 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
     if p1.alphabet != p2.alphabet:
         raise ValueError("parameter lists must share an alphabet")
     dim = max(p1.max_len, p2.max_len)
-    g = build(p1.alphabet, dim)
+    try:
+        g = build(p1.alphabet, dim)
+    except DimensionCapError as e:
+        return EquivalenceVerdict("unknown", None, None, 0, cap=str(e))
 
     for w in p1.alphabet.words_shorter_than(dim):
         in1 = is_member(w, p1)

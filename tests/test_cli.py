@@ -247,6 +247,23 @@ def test_graph_dimension_cap(capsys):
     assert err[0].startswith("unknown (")
 
 
+@pytest.mark.parametrize("command", [
+    ["finite", "a" * 13],
+    ["equiv", "a" * 13, "--", "a" * 13],
+    ["witness", "a" * 13],
+], ids=["finite", "equiv", "witness"])
+def test_vertex_guard_json_is_one_unknown_object(capsys, command):
+    # 2^13 = 8192 vertices passes the fixed 4096-vertex guard
+    code = run(command[:1] + ["--alphabet", "ab", "--json"] + command[1:])
+    out, _ = _lines(capsys)
+    assert code == 2
+    assert len(out) == 1
+    payload = json.loads(out[0])
+    assert payload["verdict"] == "unknown"
+    assert payload["stats"]["traces_checked"] == 0
+    assert "4096" in payload["certificate"]["cap"]
+
+
 def test_usage_errors(capsys):
     # unknown subcommand
     assert run(["frobnicate"]) == 64

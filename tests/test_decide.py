@@ -8,14 +8,12 @@ from wordmix import (
     Alphabet,
     BudgetExceededError,
     Caps,
-    DimensionCapError,
     FinitenessCertificate,
     ParamList,
     build,
     build_balance_system,
     build_psi_branches,
     build_pumping_system,
-    check_trace,
     decide_equivalence,
     decide_finiteness,
     enumerate_traces,
@@ -28,7 +26,7 @@ from wordmix import (
     word_to_str,
 )
 from wordmix.debruijn import OccTable, word_of_walk
-from wordmix.decide import _Separator
+from wordmix.decide import _Separator, _TraceChecker
 from wordmix.errors import WitnessError
 from wordmix.linarith import DEFAULT_NODE_BUDGET
 from wordmix.traces import OrderedTrace
@@ -111,12 +109,12 @@ def test_check_trace_zero_cycles():
     p = plist("ab", "ab", "ba")
     t = is_trace(D2, [(2, 1)])
     # nothing to pump, so no certificate regardless of balance
-    assert check_trace(t, p) is None
+    assert _TraceChecker(D2, p, DEFAULT_NODE_BUDGET).check(t) is None
 
 
 def test_check_trace_t1():
     p = plist("ab", "ab", "ba", "a")
-    cert = check_trace(T1, p)
+    cert = _TraceChecker(D2, p, DEFAULT_NODE_BUDGET).check(T1)
     assert cert is not None
     assert cert.trace is T1
     assert cert.x == (1,) and cert.y == (1,)
@@ -133,10 +131,13 @@ def test_unknown_on_trace_cap():
 def test_dimension_cap_propagates():
     # the fixed 4096-vertex guard: 2^13 = 8192 vertices is one size too big
     p = plist("ab", "a" * 13)
-    with pytest.raises(DimensionCapError):
-        decide_finiteness(p)
-    with pytest.raises(DimensionCapError):
-        decide_equivalence(p, plist("ab", "b" * 13))
+    cap = "2^13 = 8192 vertices exceeds the cap of 4096"
+    v = decide_finiteness(p)
+    assert (v.verdict, v.certificate, v.traces_checked, v.cap) == (
+        "unknown", None, 0, cap)
+    v = decide_equivalence(p, plist("ab", "b" * 13))
+    assert (v.verdict, v.witness, v.traces_checked, v.cap) == (
+        "unknown", None, 0, cap)
 
 
 def test_unary_exhaustive():

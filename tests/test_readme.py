@@ -1,6 +1,7 @@
 """The README's command line examples and its caps table, checked against
-the command line itself."""
+the command line itself, and its library example, run as written."""
 
+import ast
 import json
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from wordmix import Alphabet, ParamList, is_member, word_from_str
 from wordmix.cli import run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -76,3 +78,15 @@ def test_caps_table_lists_the_decision_cap_flags(capsys, command):
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
                            capsys.readouterr().out))
     assert sorted(table) == sorted(flags - NOT_CAPS)
+
+
+def test_library_example(capsys):
+    """The Library section's Python example runs, its own assert holds,
+    and the word it prints is a member of M(ab,ba,a)."""
+    (code,) = re.findall(r"```python\n(.*?)```", _section("## Library"),
+                         re.DOTALL)
+    exec(code, {})
+    word = ast.literal_eval(capsys.readouterr().out.strip())
+    p = ParamList(Alphabet(("a", "b")),
+                  tuple(word_from_str(s) for s in ("ab", "ba", "a")))
+    assert is_member(word, p)

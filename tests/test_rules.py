@@ -1,8 +1,8 @@
-"""The per-decision rules of decide_finiteness, checked against independent
-references: (a) the all-cycles pumping prune, (b) skipping cycle-free
-traces, (c) the per-decision solve memo and the system key it shares with
-equivalence's memo; plus the witness checks that must survive python -O
-and the absence of cyclic garbage per decision."""
+"""The per-decision rules, checked against independent references: for
+finiteness (a) the all-cycles pumping prune and (b) skipping cycle-free
+traces; for both decisions (c) the one per-decision solve memo, _Solves,
+and the system key it answers on; plus the witness checks that must
+survive python -O and the absence of cyclic garbage per decision."""
 
 import gc
 import itertools
@@ -16,11 +16,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordmix import (LinearSystem, build, build_balance_system,
-                     build_pumping_system, check_trace, decide_finiteness,
-                     enumerate_members, enumerate_traces,
+import wordmix.decide
+from wordmix import (BudgetExceededError, LinearSystem, build,
+                     build_balance_system, build_pumping_system,
+                     decide_finiteness, enumerate_members, enumerate_traces,
                      homogeneous_nontrivial, solve_system)
-from wordmix.decide import _system_key, _TraceChecker
+from wordmix.decide import _Solves, _system_key, _TraceChecker
+from wordmix.linarith import DEFAULT_NODE_BUDGET
 
 from conftest import plist
 
@@ -75,7 +77,8 @@ def test_stream_skips_exactly_the_cycle_free_traces():
     every = list(enumerate_traces(g))
     with_cycles = list(enumerate_traces(g, min_cycles=1))
     assert with_cycles == [T for T in every if T.cycles]
-    assert all(check_trace(T, p) is None for T in every if not T.cycles)
+    assert all(_TraceChecker(g, p, DEFAULT_NODE_BUDGET).check(T) is None
+               for T in every if not T.cycles)
     assert decide_finiteness(p).traces_checked == len(with_cycles)
 
 
@@ -90,7 +93,7 @@ def test_memo_agrees_with_fresh_checks_on_every_trace():
         for T in enumerate_traces(g, min_cycles=1):
             traces += 1
             cert = shared.check(T)
-            fresh = check_trace(T, p, node_budget=10_000)
+            fresh = _TraceChecker(g, p, node_budget=10_000).check(T)
             assert (cert is None) == (fresh is None), T
             if cert is None:
                 continue
@@ -102,8 +105,8 @@ def test_memo_agrees_with_fresh_checks_on_every_trace():
             assert all(sum(a * v for a, v in zip(row, cert.y)) == 0
                        for row in rows)
         # most answers came from the memo
-        assert len(shared._pumps) < traces // 4
-        assert len(shared._refuted) < max(certified, traces // 4)
+        assert len(shared.solves._pumps) < traces // 4
+        assert len(shared.solves._systems) < max(certified, traces // 4)
 
 
 def _system(columns, rels, rhs) -> LinearSystem:
@@ -153,6 +156,49 @@ def test_system_key_keeps_feasibility(pair):
     feasible = solve_system(original).feasible
     assert solve_system(other).feasible == feasible
     assert solve_system(_system(columns, rels, rhs)).feasible == feasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(_same_key_pair(), st.data())
+def test_solves_answers_as_fresh_solves_do(pair, data):
+    """One _Solves asked feasible or witness about both systems of a
+    pair, in a drawn order, answers as a fresh solve of each would, and
+    every witness it gives solves its own system."""
+    solves = _Solves(DEFAULT_NODE_BUDGET)
+    for which in data.draw(st.permutations([0, 1, 0, 1])):
+        system = pair[which]
+        feasible = solve_system(system).feasible
+        if data.draw(st.booleans(), label="witness"):
+            x = solves.witness(system)
+            assert (x is not None) == feasible
+            assert x is None or system.satisfied_by(x)
+        else:
+            assert solves.feasible(system) == feasible
+
+
+@pytest.mark.parametrize("ask", [_Solves.feasible, _Solves.witness],
+                         ids=["feasible", "witness"])
+def test_solves_caches_no_budget_error(monkeypatch, ask):
+    """A solve out of budget leaves nothing cached, so the next query
+    about the same system solves it; its refutation is then cached."""
+    calls = 0
+
+    def once(system, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 1:
+            raise BudgetExceededError("fake budget")
+        return solve_system(system, **kwargs)
+
+    monkeypatch.setattr(wordmix.decide, "solve_system", once)
+    infeasible = _system([(1,)], ["eq"], [0])
+    solves = _Solves(DEFAULT_NODE_BUDGET)
+    with pytest.raises(BudgetExceededError):
+        ask(solves, infeasible)
+    assert not ask(solves, infeasible)
+    assert calls == 2
+    assert not ask(solves, infeasible)
+    assert calls == 2
 
 
 def test_system_key_needs_lower_bounds_of_one():
