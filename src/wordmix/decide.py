@@ -27,7 +27,8 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from .debruijn import DeBruijnGraph, OccTable, build, word_of_walk
+from .debruijn import (DEFAULT_MAX_VERTICES, DeBruijnGraph, OccTable, build,
+                       word_of_walk)
 from .decomp import comp
 from .errors import (BudgetExceededError, CapExceededError,
                      DimensionCapError, WitnessError)
@@ -447,26 +448,37 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
     """Equal, NotEqual with a distinguishing word, or Unknown.
 
     Phase 1 compares memberships on every word shorter than the graph
-    dimension. Phase 2 streams traces and tries to refute the per-trace
-    agreement (_Separator, with rules (c) and (d)); the first feasible
-    negation branch is turned into a concrete word and re-validated
-    before it is believed. on_trace, if given, is called as
-    on_trace(T, tables) with every trace checked, in order, before it is
-    checked; tables holds the decision's two OccTables.
+    dimension, by direct counting, before the graph is built. Phase 2
+    streams traces and tries to refute the per-trace agreement
+    (_Separator, with rules (c) and (d)); the first feasible negation
+    branch is turned into a concrete word and re-validated before it is
+    believed. on_trace, if given, is called as on_trace(T, tables) with
+    every trace checked, in order, before it is checked; tables holds
+    the decision's two OccTables.
+
+    Phase 1 stops below the first length l with |A|^l words past the
+    vertex guard. Since |A|^l <= |A|^dim for l < dim, that stop cuts the
+    scan short only when the graph build would fail anyway; a pair past
+    the guard still gets a short separator, and on two or more letters
+    the scan reads fewer than twice as many words as the guard allows
+    vertices.
     """
     if p1.alphabet != p2.alphabet:
         raise ValueError("parameter lists must share an alphabet")
     dim = max(p1.max_len, p2.max_len)
-    try:
-        g = build(p1.alphabet, dim)
-    except DimensionCapError as e:
-        return EquivalenceVerdict("unknown", None, None, 0, cap=str(e))
-
-    for w in p1.alphabet.words_shorter_than(dim):
+    short = 0
+    while short < dim and len(p1.alphabet) ** short <= DEFAULT_MAX_VERTICES:
+        short += 1
+    for w in p1.alphabet.words_shorter_than(short):
         in1 = is_member(w, p1)
         in2 = is_member(w, p2)
         if in1 != in2:
             return EquivalenceVerdict("not_equal", w, 1 if in1 else 2, 0)
+
+    try:
+        g = build(p1.alphabet, dim)
+    except DimensionCapError as e:
+        return EquivalenceVerdict("unknown", None, None, 0, cap=str(e))
 
     separator = _Separator(g, p1, p2, caps.node_budget)
     tables = separator.tables

@@ -15,6 +15,10 @@ the walk composed so far and used its set of attached cycles. The state
 decides every further attachment (see _grow), so the search keeps one
 level of states per cycle-set size and grows the next level from it,
 instead of re-attaching every shallower walk for each size.
+
+The rooted cycles both searches draw on come from enumerate_cycles, which
+finds each simple cycle once, from its least vertex, counts its rotations
+against the cycle cap, and builds them only when the count fits.
 """
 
 from __future__ import annotations
@@ -195,12 +199,28 @@ def is_trace(g, items) -> OrderedTrace:
 
 def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
     """Every rooted simple cycle of g (rotations counted separately),
-    sorted by length then vertex tuple."""
+    sorted by length then vertex tuple. Raises CapExceededError when
+    there are more than cap of them, before building any.
+
+    Each simple cycle is listed once, from its least vertex, and only
+    expanded into its rooted forms once the count is known to fit.
+    Soundness: every simple cycle has exactly one least vertex. The
+    depth-first search from r that steps only to vertices above r finds
+    exactly the simple cycles whose least vertex is r, each once, as the
+    vertex sequence that starts at r. A simple cycle of length L has L
+    distinct vertices, and its rooted forms are exactly its L rotations,
+    one per vertex, pairwise distinct. So the rotations of the cycles
+    found are the rooted simple cycles of g, each once; adding L per
+    cycle counts them exactly, and the cap fires exactly when there are
+    more than cap. The final sort makes the output independent of the
+    order of discovery.
+    """
     # Iterative depth-first search, one successor iterator per vertex on
     # the current simple path; a recursive closure would keep itself, and
     # with it every cycle found, alive until a full GC.
     succ = {v: g.successors(v) for v in g.vertices()}
-    out: list[Walk] = []
+    found: list[Walk] = []
+    count = 0
     for root in sorted(g.vertices()):
         cur = [root]
         on_path = {root}
@@ -208,10 +228,11 @@ def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
         while stack:
             for nxt in stack[-1]:
                 if nxt == root:
-                    out.append((*cur, root))
-                    if len(out) > cap:
+                    found.append(tuple(cur))
+                    count += len(cur)
+                    if count > cap:
                         raise CapExceededError(f"more than {cap} rooted cycles")
-                elif nxt not in on_path:
+                elif nxt > root and nxt not in on_path:
                     cur.append(nxt)
                     on_path.add(nxt)
                     stack.append(iter(succ[nxt]))
@@ -219,6 +240,7 @@ def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
             else:
                 stack.pop()
                 on_path.remove(cur.pop())
+    out = [(*c[i:], *c[:i], c[i]) for c in found for i in range(len(c))]
     return tuple(sorted(out, key=lambda c: (len(c), c)))
 
 

@@ -140,6 +140,29 @@ def test_dimension_cap_propagates():
         "unknown", None, 0, cap)
 
 
+@pytest.mark.parametrize("decide", [
+    lambda: decide_finiteness(plist("ab", "aaaaa", "bbbbb")),
+    lambda: decide_finiteness(plist("abc", "aa", "bb", "cc", "abc")),
+    # D^2 over four letters: 16 vertices, past the cycle guard
+    lambda: decide_equivalence(plist("abcd", "ab", "cd"),
+                               plist("abcd", "cd", "ab", "ba")),
+], ids=["ab5", "abc-aa-bb-cc-abc", "equiv-abcd2"])
+def test_cycle_guard_gives_unknown_before_any_trace(decide):
+    v = decide()
+    assert (v.verdict, v.cap, v.traces_checked) == (
+        "unknown", "more than 100000 rooted cycles", 0)
+
+
+def test_equivalence_short_separator_past_the_vertex_guard():
+    # ab is in M(a,b) but not in M(a,b,a^13); D^13 would have 8192 vertices
+    p1 = plist("ab", "a", "b")
+    p2 = plist("ab", "a", "b", "a" * 13)
+    v = decide_equivalence(p1, p2)
+    assert (v.verdict, v.traces_checked) == ("not_equal", 0)
+    assert is_member(v.witness, p1) != is_member(v.witness, p2)
+    assert (v.member_of == 1) == is_member(v.witness, p1)
+
+
 def test_unary_exhaustive():
     """Unary k = 2: finite exactly when the word lengths differ."""
     for i in range(1, 4):

@@ -4,6 +4,7 @@ from collections import Counter
 from typing import Iterator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordmix import (
     Alphabet,
@@ -410,3 +411,93 @@ def test_is_trace_matches_walk_search():
             assert got == OrderedTrace(path,
                                        tuple(cycs[i] for i in reversed(seq)))
     assert refused > 100
+
+
+# ---------------------------------------------------------------------------
+# Reference: the cycle listing that enumerate_cycles replaced. It runs a
+# depth-first search from every root, so each simple cycle of length L is
+# walked L times, once per rotation, and every rotation is built before the
+# cap is checked; the library's least-vertex search must reproduce its
+# output and its cap exactly.
+
+
+def reference_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
+    """Every rooted simple cycle of g (rotations counted separately),
+    sorted by length then vertex tuple."""
+    # Iterative depth-first search, one successor iterator per vertex on
+    # the current simple path; a recursive closure would keep itself, and
+    # with it every cycle found, alive until a full GC.
+    succ = {v: g.successors(v) for v in g.vertices()}
+    out: list[Walk] = []
+    for root in sorted(g.vertices()):
+        cur = [root]
+        on_path = {root}
+        stack = [iter(succ[root])]
+        while stack:
+            for nxt in stack[-1]:
+                if nxt == root:
+                    out.append((*cur, root))
+                    if len(out) > cap:
+                        raise CapExceededError(f"more than {cap} rooted cycles")
+                elif nxt not in on_path:
+                    cur.append(nxt)
+                    on_path.add(nxt)
+                    stack.append(iter(succ[nxt]))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(cur.pop())
+    return tuple(sorted(out, key=lambda c: (len(c), c)))
+
+
+def _cycles_or_cap(enumerate_fn, g, cap):
+    """The cycle tuple, or the cap message if enumerate_fn raised one."""
+    try:
+        return enumerate_fn(g, cap=cap)
+    except CapExceededError as e:
+        return str(e)
+
+
+def _assert_cycles_match(g):
+    """Equal output, and with c rooted cycles, cap=c returns it while
+    cap=c-1 raises the same message on both sides."""
+    want = reference_cycles(g)
+    assert enumerate_cycles(g) == want
+    c = len(want)
+    assert enumerate_cycles(g, cap=c) == want
+    got = _cycles_or_cap(enumerate_cycles, g, c - 1)
+    assert got == _cycles_or_cap(reference_cycles, g, c - 1)
+    if c:
+        assert got == f"more than {c - 1} rooted cycles"
+
+
+CYCLE_GRAPHS = {
+    **{f"ab{n}": build(AB, n) for n in range(1, 5)},
+    **{f"abc{n}": build(Alphabet.from_string("abc"), n) for n in (1, 2)},
+    "abcd1": build(Alphabet.from_string("abcd"), 1),
+    **{f"k{n}{'' if loops else '-noloops'}": complete_graph(n, self_loops=loops)
+       for n in (3, 4) for loops in (True, False)},
+    "lobe": LOBE,
+    "loop": ExplicitGraph((7,), frozenset([(7, 7)])),
+    "acyclic": ExplicitGraph((1, 2, 3), frozenset([(1, 2), (2, 3), (1, 3)])),
+}
+
+
+@pytest.mark.parametrize("g", CYCLE_GRAPHS.values(), ids=CYCLE_GRAPHS.keys())
+def test_least_vertex_cycles_match_every_root_search(g):
+    _assert_cycles_match(g)
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(1, 7))
+    vs = tuple(range(n))
+    edges = draw(st.frozensets(st.tuples(st.sampled_from(vs),
+                                         st.sampled_from(vs))))
+    return ExplicitGraph(vs, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_digraphs())
+def test_least_vertex_cycles_match_on_random_digraphs(g):
+    _assert_cycles_match(g)
