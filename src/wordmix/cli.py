@@ -2,9 +2,9 @@
 
 Exit codes: 0 for a decided positive answer (infinite / equal / member),
 1 for a decided negative one, 2 for unknown (a cap or budget got in the
-way), 64 for usage errors. Finiteness early-exits on the first
-certifying trace; equivalence must exhaust every trace of the graph
-before it may answer "equal".
+way, or a certificate failed its re-check), 64 for usage errors.
+Finiteness early-exits on the first certifying trace; equivalence must
+exhaust every trace of the graph before it may answer "equal".
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from .decide import (Caps, decide_equivalence, decide_finiteness, timed,
 from .decomp import dec
 from .errors import BudgetExceededError, DimensionCapError, WitnessError
 from .linarith import (DEFAULT_NODE_BUDGET, build_balance_system,
-                       build_psi_branches, build_pumping_system,
-                       is_pumping_witness)
+                       build_psi_branches, build_pumping_system)
 from .oracle import DEFAULT_WORD_BUDGET, census, enumerate_members
 from .traces import DEFAULT_MAX_TRACES
-from .words import (Alphabet, ParamList, is_member, occ_vector,
-                    word_from_str, word_to_str)
+from .words import (Alphabet, ParamList, Word, occ_vector, word_from_str,
+                    word_to_str)
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -179,7 +178,7 @@ def _dump_finite(T, tables) -> None:
     checks, from the decision's own table."""
     (table,) = tables
     p = table.params
-    entry = {"trace": T.to_json_dict(table.g),
+    entry = {"trace": T.to_json_dict(),
              "balance": build_balance_system(T, p, table).to_json_dict(),
              "pumping_rows": [list(r) for r in
                               build_pumping_system(T, p, table)]}
@@ -190,25 +189,41 @@ def _dump_equiv(T, tables) -> None:
     """on_trace hook printing the negation branches of each checked
     trace, from the decision's own tables."""
     t1, t2 = tables
-    entry = {"trace": T.to_json_dict(t1.g),
+    entry = {"trace": T.to_json_dict(),
              "branches": [b.to_json_dict() for b in
                           build_psi_branches(T, t1.params, t2.params,
                                              tables)]}
     print(json.dumps(entry, sort_keys=True))
 
 
-def _validate_finiteness_certificate(cert, p: ParamList) -> None:
-    if not build_balance_system(cert.trace, p).satisfied_by(cert.x):
-        raise WitnessError("balance witness failed re-validation")
-    if not is_pumping_witness(build_pumping_system(cert.trace, p), cert.y):
-        raise WitnessError("pumping witness failed re-validation")
+def _validate_finiteness_certificate(cert, p: ParamList) -> Word:
+    """Check an infinite certificate by counting; return its n = 1 word.
+
+    Soundness: comp splices every copy of a cycle at the first occurrence
+    of its root, which no copy moves, so comp is defined at every
+    x + (n-1)*y >= 1 once it is at n = 1. Each copy of cyc adds cyc[1:]
+    after the fixed start vertex, and with dimension >= p.max_len each
+    occurrence is told by the vertex it ends at, so counts and length are
+    affine in n. witness_family re-checks the members at n = 1 and 2, so
+    the count differences vanish there, hence at every n; the length
+    grows with n, so the members are infinitely many.
+    """
+    if any(v < 1 for v in cert.x) or any(v < 0 for v in cert.y):
+        raise WitnessError("certificate needs x >= 1 and y >= 0")
+    g = cert.trace.graph
+    if g.alphabet != p.alphabet or g.dim < p.max_len:
+        raise WitnessError("the trace's graph does not fit the list")
+    first = witness_family(cert, p, 1)
+    if len(witness_family(cert, p, 2)) <= len(first):
+        raise WitnessError("the pumped word does not grow")
+    return first
 
 
 def _report_not_infinite(p: ParamList, verdict, ms: float,
                          as_json: bool) -> int:
     """Print a finite or unknown verdict and return its exit code."""
     if as_json:
-        print(json.dumps(verdict.to_json_dict(p, ms), sort_keys=True))
+        print(json.dumps(verdict.to_json_dict(ms), sort_keys=True))
     elif verdict.verdict == "finite":
         print(f"finite (N={p.max_len}, {verdict.reason})")
     else:
@@ -225,12 +240,11 @@ def _cmd_finite(args) -> int:
     if verdict.verdict != "infinite":
         return _report_not_infinite(p, verdict, ms, args.json)
     cert = verdict.certificate
-    _validate_finiteness_certificate(cert, p)
+    sample = _validate_finiteness_certificate(cert, p)
     if args.json:
-        print(json.dumps(verdict.to_json_dict(p, ms), sort_keys=True))
+        print(json.dumps(verdict.to_json_dict(ms), sort_keys=True))
         return EXIT_TRUE
-    g = build(p.alphabet, p.max_len)
-    sample = witness_family(cert, p, 1)
+    g = cert.trace.graph
     print("infinite")
     print(f"  trace path:  {_fmt_walk(g, cert.trace.path)}")
     for cyc in cert.trace.cycles:
@@ -248,11 +262,6 @@ def _cmd_equiv(args) -> int:
     on_trace = _dump_equiv if args.dump_systems else None
     verdict, ms = timed(decide_equivalence, p1, p2, _caps_from(args),
                         on_trace=on_trace)
-    if verdict.witness is not None:
-        in1 = is_member(verdict.witness, p1)
-        in2 = is_member(verdict.witness, p2)
-        if in1 == in2:
-            raise WitnessError("witness word failed re-validation")
     if args.json:
         print(json.dumps(verdict.to_json_dict(ms), sort_keys=True))
     elif verdict.verdict == "equal":
@@ -289,6 +298,7 @@ def _cmd_witness(args) -> int:
     verdict, ms = timed(decide_finiteness, p, _caps_from(args))
     if verdict.verdict != "infinite":
         return _report_not_infinite(p, verdict, ms, args.json)
+    _validate_finiteness_certificate(verdict.certificate, p)
     word = witness_family(verdict.certificate, p, args.n)
     if args.json:
         payload = {"verdict": "infinite",
@@ -351,7 +361,7 @@ def run(argv) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DimensionCapError, BudgetExceededError) as e:
+    except (DimensionCapError, BudgetExceededError, WitnessError) as e:
         print(f"unknown ({e})", file=sys.stderr)
         return EXIT_UNKNOWN
 

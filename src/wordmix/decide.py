@@ -81,16 +81,12 @@ class FinitenessVerdict:
             return "no cycle combination pumps"
         return "all traces exhausted"
 
-    def to_json_dict(self, p: ParamList, elapsed_ms: float) -> dict:
+    def to_json_dict(self, elapsed_ms: float) -> dict:
         cert = None
         if self.certificate is not None:
-            g = build(p.alphabet, p.max_len)
             c = self.certificate
-            cert = {
-                "trace": c.trace.to_json_dict(g),
-                "x": list(c.x),
-                "y": list(c.y),
-            }
+            cert = {"trace": c.trace.to_json_dict(), "x": list(c.x),
+                    "y": list(c.y)}
         elif self.cap is not None:
             cert = {"cap": self.cap}
         return {
@@ -345,8 +341,8 @@ def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
     return FinitenessVerdict("finite", None, checked, pruned=checker.pruned)
 
 
-def realize_walk(g: DeBruijnGraph, T: OrderedTrace, exponents):
-    """comp of the trace with each cycle repeated exponents[i] times."""
+def realize_walk(T: OrderedTrace, exponents):
+    """comp of T in its graph, each cycle repeated exponents[i] times."""
     if len(exponents) != len(T.cycles):
         raise ValueError("one exponent per cycle required")
     if any(e < 1 for e in exponents):
@@ -354,7 +350,7 @@ def realize_walk(g: DeBruijnGraph, T: OrderedTrace, exponents):
     repeated = []
     for cyc, e in zip(T.cycles, exponents):
         repeated.extend([cyc] * e)
-    return comp(g, T.path, tuple(repeated))
+    return comp(T.graph, T.path, tuple(repeated))
 
 
 def witness_family(cert: FinitenessCertificate, p: ParamList,
@@ -362,15 +358,13 @@ def witness_family(cert: FinitenessCertificate, p: ParamList,
     """The n-th member of the pumped family for an Infinite certificate.
 
     n = 0 and n = 1 both give the balance word; each further step adds
-    the pumping increment y, so lengths grow strictly from n = 1 on.
-    Membership is re-checked by direct counting before returning.
+    the pumping increment y. Membership is re-checked by counting.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    g = build(p.alphabet, p.max_len)
     exponents = [x + max(n - 1, 0) * y for x, y in zip(cert.x, cert.y)]
-    walk = realize_walk(g, cert.trace, exponents)
-    word = word_of_walk(g, walk)
+    walk = realize_walk(cert.trace, exponents)
+    word = word_of_walk(cert.trace.graph, walk)
     if not is_member(word, p):
         raise WitnessError("pumped word failed the membership re-check")
     return word
@@ -399,7 +393,6 @@ class _Separator:
 
     def __init__(self, g: DeBruijnGraph, p1: ParamList, p2: ParamList,
                  node_budget: int):
-        self.g = g
         self.lists = (p1, p2)
         self.tables = (OccTable(g, p1), OccTable(g, p2))
         self.solves = _Solves(node_budget)
@@ -409,7 +402,7 @@ class _Separator:
         """The word of T at multiplicities x, re-checked to lie in exactly
         one language, with the list it belongs to."""
         p1, p2 = self.lists
-        word = word_of_walk(self.g, realize_walk(self.g, T, x))
+        word = word_of_walk(T.graph, realize_walk(T, x))
         in1 = is_member(word, p1)
         in2 = is_member(word, p2)
         if in1 == in2:

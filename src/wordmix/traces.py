@@ -24,7 +24,7 @@ against the cycle cap, and builds them only when the count fits.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .decomp import Walk, check_walk, dec, is_cycle, is_path
@@ -65,19 +65,20 @@ class OrderedTrace:
     """A trace plus an attachment ordering usable by comp.
 
     comp processes the tuple back to front, so cycles[-1] is the one that
-    attaches directly to the path.
+    attaches directly to the path; graph is the graph its walks live in.
     """
 
     path: Walk
     cycles: tuple[Walk, ...]
+    graph: object = field(compare=False, repr=False)
 
     def as_trace(self) -> Trace:
         return Trace(self.path, frozenset(self.cycles))
 
-    def to_json_dict(self, g) -> dict:
+    def to_json_dict(self) -> dict:
         """Path and cycles as lists of vertex words."""
         def word(v):
-            return word_to_str(g.vertex_word(v))
+            return word_to_str(self.graph.vertex_word(v))
 
         return {"path": [word(v) for v in self.path],
                 "cycles": [[word(v) for v in cyc] for cyc in self.cycles]}
@@ -161,10 +162,10 @@ def _levels(path: Walk, depth: int,
     return level
 
 
-def _ordered(path: Walk, seq: tuple[int, ...],
+def _ordered(g, path: Walk, seq: tuple[int, ...],
              cycles: tuple[Walk, ...]) -> OrderedTrace:
     # comp splices back to front, so the first cycle attached goes last
-    return OrderedTrace(path, tuple(cycles[i] for i in reversed(seq)))
+    return OrderedTrace(path, tuple(cycles[i] for i in reversed(seq)), g)
 
 
 def is_trace(g, items) -> OrderedTrace:
@@ -192,7 +193,7 @@ def is_trace(g, items) -> OrderedTrace:
     cycles = tuple(sorted(cycs, key=lambda c: (len(c), c)))
     # at full depth every state has used all the cycles
     for _, _, seq in _levels(path, len(cycles), cycles):
-        return _ordered(path, seq, cycles)
+        return _ordered(g, path, seq, cycles)
     raise NotATraceError(
         f"no attachment ordering exists for cycles {list(cycles)} on path {path}")
 
@@ -304,7 +305,7 @@ def enumerate_traces(g, *,
                 emitted += 1
                 if emitted > max_traces:
                     raise CapExceededError(f"more than {max_traces} traces")
-                yield _ordered(path, state[2], cycles)
+                yield _ordered(g, path, state[2], cycles)
             if level:
                 kept.append((path, level))
         if not kept:

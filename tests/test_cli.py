@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from wordmix.cli import run
+from wordmix import DeBruijnGraph, FinitenessCertificate, build, is_trace
+from wordmix import cli
+from wordmix.cli import _validate_finiteness_certificate, run
+from wordmix.errors import WitnessError
+
+from conftest import plist
 
 
 def _lines(capsys):
@@ -185,6 +190,69 @@ def test_witness_json(capsys):
     payload = json.loads(out[0])
     assert payload["certificate"]["n"] == 1
     assert payload["certificate"]["witness_word"]
+
+
+# M(a,b) over D^1: the word of path ab counts a and b once each, cycle
+# b -> b adds a b, cycle a -> b -> a adds "ba" and cycle a -> a adds an a,
+# so multiplicities (u, v, w) balance exactly when u = w
+AB_LIST = plist("ab", "a", "b")
+PUMPED = is_trace(build(AB_LIST.alphabet, 1),
+                  [(0, 1), (0, 0), (1, 1), (0, 1, 0)])
+
+
+def test_certificate_check_passes_and_returns_first_member():
+    assert PUMPED.cycles == ((1, 1), (0, 1, 0), (0, 0))
+    cert = FinitenessCertificate(PUMPED, (2, 1, 2), (1, 1, 1))
+    assert "".join(_validate_finiteness_certificate(cert, AB_LIST)) == \
+        "abbbaaab"
+
+
+@pytest.mark.parametrize("x, y, p, message", [
+    ((1, 1, 2), (1, 1, 1), AB_LIST, "membership"),
+    # balanced and longer at n = 2, but x + 2y has zeros: no word at n = 3
+    ((2, 1, 2), (-1, 2, -1), AB_LIST, "y >= 0"),
+    ((2, 1, 2), (0, 0, 0), AB_LIST, "does not grow"),
+    ((2, 1, 2), (1, 0, 0), AB_LIST, "membership"),
+    ((2, 1, 2), (1, 1, 1), plist("ab", "a", "b", "ab"), "does not fit"),
+], ids=["x-lowered", "y-negative", "y-zero", "y-off-kernel", "list-too-long"])
+def test_certificate_check_rejects_tampering(x, y, p, message):
+    with pytest.raises(WitnessError, match=message):
+        _validate_finiteness_certificate(
+            FinitenessCertificate(PUMPED, x, y), p)
+
+
+def test_failed_recheck_exits_unknown(capsys, monkeypatch):
+    def fail(cert, p):
+        raise WitnessError("pumped word failed the membership re-check")
+
+    monkeypatch.setattr(cli, "_validate_finiteness_certificate", fail)
+    for command in ("finite", "witness"):
+        code = run([command, "--alphabet", "ab", "ab,ba,a"])
+        out, err = _lines(capsys)
+        assert code == 2
+        assert out == []
+        assert err == ["unknown (pumped word failed the membership "
+                       "re-check)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite", "ab,ba,a"],
+    ["finite", "--json", "ab,ba,a"],
+    ["witness", "ab,ba,a"],
+    ["witness", "--json", "ab,ba,a"],
+    ["equiv", "ab,ba,a", "--", "ba,ab,a,a"],
+], ids=["finite", "finite-json", "witness", "witness-json", "equiv"])
+def test_one_graph_build_per_call(capsys, monkeypatch, argv):
+    builds = []
+    init = DeBruijnGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DeBruijnGraph, "__init__", counting_init)
+    assert run([argv[0], "--alphabet", "ab", *argv[1:]]) == 0
+    assert len(builds) == 1
 
 
 def test_enumerate(capsys):

@@ -97,12 +97,12 @@ def test_witness_family_growth():
 
 
 def test_realize_walk():
-    w = realize_walk(D2, T1, (2,))
+    w = realize_walk(T1, (2,))
     assert w == (2, 1, 2, 1, 2, 1)
     with pytest.raises(ValueError):
-        realize_walk(D2, T1, ())
+        realize_walk(T1, ())
     with pytest.raises(ValueError):
-        realize_walk(D2, T1, (0,))
+        realize_walk(T1, (0,))
 
 
 def test_check_trace_zero_cycles():
@@ -244,7 +244,7 @@ def test_equivalence_brute_force_cross_check():
 def test_finiteness_json_shape():
     p = plist("ab", "ab", "ba", "a")
     v = decide_finiteness(p)
-    d = v.to_json_dict(p, 12.5)
+    d = v.to_json_dict(12.5)
     assert d["verdict"] == "infinite"
     assert set(d) == {"verdict", "certificate", "stats"}
     assert set(d["certificate"]) == {"trace", "x", "y"}
@@ -252,7 +252,7 @@ def test_finiteness_json_shape():
     assert d["stats"]["elapsed_ms"] == 12.5
 
     pf = plist("ab", "ab", "ba", "a", "b")
-    df = decide_finiteness(pf).to_json_dict(pf, 1.0)
+    df = decide_finiteness(pf).to_json_dict(1.0)
     assert df["verdict"] == "finite" and df["certificate"] is None
 
 
@@ -361,7 +361,7 @@ def reference_separator(p1, p2, caps=Caps()):
                 continue
             if not result.feasible:
                 continue
-            walk = realize_walk(g, T, result.witness)
+            walk = realize_walk(T, result.witness)
             word = word_of_walk(g, walk)
             in1 = is_member(word, p1)
             in2 = is_member(word, p2)

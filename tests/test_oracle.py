@@ -74,7 +74,9 @@ def test_walk_traces_maxlen_zero():
 
 def test_walk_traces_contains_golden():
     k4 = complete_graph(4)
-    got = enumerate_walk_traces(k4, k4.vertices(), 9)
+    # dec keeps a walk's first vertex as its path's first vertex, and the
+    # golden path starts at 1
+    got = enumerate_walk_traces(k4, (1,), 9)
     golden = Trace((1, 2, 4), frozenset({(2, 3, 2), (3, 4, 3), (2, 3, 4, 2)}))
     assert golden in got
 

@@ -234,19 +234,31 @@ def test_decisions_leave_no_cyclic_garbage():
 
 
 def test_witness_checks_survive_python_O():
+    # an unbalanced family, and the CLI's certificate check on a balanced
+    # one that does not grow (y = 0)
     code = (
         "from wordmix import *\n"
+        "from wordmix.cli import _validate_finiteness_certificate\n"
         "from wordmix.errors import WitnessError\n"
         "assert False, 'asserts should be stripped'\n"
         "p = ParamList(Alphabet.from_string('ab'), (('a',), ('b',)))\n"
         "g = build(p.alphabet, 1)\n"
         "bad = FinitenessCertificate(is_trace(g, [(0,), (0, 0)]), (1,), (1,))\n"
-        "try:\n"
-        "    witness_family(bad, p, 1)\n"
-        "except WitnessError as e:\n"
-        "    print('WitnessError', e)\n")
+        "flat = FinitenessCertificate(is_trace(g, [(0, 1), (0, 1, 0)]),\n"
+        "                             (1,), (0,))\n"
+        "for check, cert in ((lambda c: witness_family(c, p, 1), bad),\n"
+        "                    (lambda c: _validate_finiteness_certificate(c, p),\n"
+        "                     flat)):\n"
+        "    try:\n"
+        "        check(cert)\n"
+        "    except WitnessError as e:\n"
+        "        print('WitnessError', e)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("WitnessError"), proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert lines[0].startswith("WitnessError"), proc.stdout
+    assert lines[1] == "WitnessError the pumped word does not grow", \
+        proc.stdout

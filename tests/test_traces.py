@@ -147,6 +147,7 @@ def test_enumerate_traces_d2_census():
     # exactly once up to set equality
     as_sets = {t.as_trace() for t in traces}
     assert len(as_sets) == len(traces)
+    assert all(t.graph is D2 for t in traces)
     # every ordering is composable and faithful
     for t in traces[:200]:
         w = comp(D2, t.path, t.cycles)
@@ -281,8 +282,9 @@ class _Level:
     every visited walk alive until a full GC.
     """
 
-    def __init__(self, path: Walk, cycles: tuple[Walk, ...], size: int,
+    def __init__(self, g, path: Walk, cycles: tuple[Walk, ...], size: int,
                  flag: list):
+        self.g = g
         self.path = path
         self.cycles = cycles
         self.size = size
@@ -301,7 +303,8 @@ class _Level:
             if used not in self.emitted:
                 self.emitted.add(used)
                 yield OrderedTrace(self.path,
-                                   tuple(cycles[i] for i in reversed(seq)))
+                                   tuple(cycles[i] for i in reversed(seq)),
+                                   self.g)
             return
         for ci in range(len(cycles)):
             if ci in used:
@@ -334,7 +337,7 @@ def reference_traces(g, *,
                 f"traces with more than {max_cycles_per_trace} cycles may exist")
         alive = [False]
         for path in enumerate_paths(g):
-            for tr in _Level(path, cycles, size, alive):
+            for tr in _Level(g, path, cycles, size, alive):
                 emitted += 1
                 if emitted > max_traces:
                     raise CapExceededError(f"more than {max_traces} traces")
@@ -409,7 +412,9 @@ def test_is_trace_matches_walk_search():
         else:
             got = is_trace(D2, items)
             assert got == OrderedTrace(path,
-                                       tuple(cycs[i] for i in reversed(seq)))
+                                       tuple(cycs[i] for i in reversed(seq)),
+                                       D2)
+            assert got.graph is D2
     assert refused > 100
 
 
