@@ -8,48 +8,32 @@ machine-checkable certificates either way: a pumpable trace with its
 multiplicities, or a concrete distinguishing word.
 """
 
-from .debruijn import (DeBruijnGraph, build, to_dot, walk_occ, walk_of_word,
-                       word_of_walk)
-from .decide import (DEFAULT_CAPS, Caps, EquivalenceVerdict,
-                     FinitenessCertificate, FinitenessVerdict,
-                     decide_equivalence, decide_finiteness, realize_walk,
+from .debruijn import DeBruijnGraph, build, walk_occ
+from .decide import (Caps, EquivalenceVerdict, FinitenessCertificate,
+                     FinitenessVerdict, decide_equivalence, decide_finiteness,
                      witness_family)
-from .decomp import (Decomposition, ExplicitGraph, check_walk, comp,
-                     complete_graph, dec, is_cycle, is_path)
-from .errors import (BadStartLengthError, BudgetExceededError,
-                     CapExceededError, CompositionUndefinedError,
-                     DimensionCapError, EmptyPatternError, NotATraceError,
-                     NotAWalkError, OutOfRangeError, WitnessError)
-from .linarith import (Feasibility, LinearSystem, build_balance_system,
-                       build_psi_branches, build_pumping_system,
-                       homogeneous_nontrivial, ilp_feasible, solve_system)
-from .oracle import Census, census, enumerate_members, enumerate_walk_traces
-from .traces import (MultiTrace, OrderedTrace, Trace, enumerate_cycles,
-                     enumerate_paths, enumerate_traces, is_trace, mtrace,
-                     trace)
-from .words import (Alphabet, ParamList, Word, add_vectors,
-                    count_occurrences, diff, is_member, occ_vector,
-                    pref_suff, suffix_indicator, word_from_str, word_to_str)
+from .decomp import comp, dec
+from .errors import (BudgetExceededError, CapExceededError,
+                     DimensionCapError, NotATraceError, WitnessError)
+from .linarith import (LinearSystem, build_balance_system, build_psi_branches,
+                       build_pumping_system, solve_system)
+from .oracle import census, enumerate_members
+from .traces import OrderedTrace, enumerate_traces, is_trace
+from .words import (Alphabet, ParamList, Word, is_member, occ_vector,
+                    word_from_str, word_to_str)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "BadStartLengthError", "BudgetExceededError", "Caps",
-    "CapExceededError", "Census", "CompositionUndefinedError",
-    "DEFAULT_CAPS", "DeBruijnGraph", "Decomposition", "DimensionCapError",
-    "EmptyPatternError", "EquivalenceVerdict", "ExplicitGraph",
-    "Feasibility", "FinitenessCertificate", "FinitenessVerdict",
-    "LinearSystem", "MultiTrace", "NotATraceError", "NotAWalkError",
-    "OrderedTrace", "OutOfRangeError", "ParamList", "Trace", "Word",
-    "add_vectors", "build", "build_balance_system", "build_psi_branches",
-    "build_pumping_system", "census",
-    "check_walk", "comp", "complete_graph",
-    "count_occurrences", "dec", "decide_equivalence", "decide_finiteness",
-    "diff", "enumerate_cycles", "enumerate_members", "enumerate_paths",
-    "enumerate_traces", "enumerate_walk_traces", "homogeneous_nontrivial",
-    "ilp_feasible", "is_cycle", "is_member", "is_path", "is_trace",
-    "mtrace", "occ_vector", "pref_suff", "realize_walk", "solve_system",
-    "suffix_indicator", "to_dot", "trace", "walk_occ", "walk_of_word",
-    "WitnessError", "witness_family", "word_from_str", "word_of_walk",
-    "word_to_str",
+    "Alphabet", "ParamList", "Word", "word_from_str", "word_to_str",
+    "occ_vector", "is_member",
+    "Caps", "decide_finiteness", "decide_equivalence", "witness_family",
+    "FinitenessVerdict", "FinitenessCertificate", "EquivalenceVerdict",
+    "OrderedTrace", "enumerate_traces", "is_trace",
+    "DeBruijnGraph", "build", "walk_occ", "dec", "comp",
+    "LinearSystem", "solve_system", "build_balance_system",
+    "build_pumping_system", "build_psi_branches",
+    "enumerate_members", "census",
+    "WitnessError", "BudgetExceededError", "CapExceededError",
+    "DimensionCapError", "NotATraceError",
 ]

@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .debruijn import DEFAULT_MAX_VERTICES, build, to_dot, walk_of_word
-from .decide import (Caps, decide_equivalence, decide_finiteness, timed,
+from .decide import (Caps, decide_equivalence, decide_finiteness,
                      witness_family)
 from .decomp import dec
 from .errors import BudgetExceededError, DimensionCapError, WitnessError
@@ -74,6 +75,13 @@ def _add_cap_flags(sub) -> None:
     sub.add_argument("--solver-budget", type=_count,
                      default=DEFAULT_NODE_BUDGET,
                      help="node budget for the integer solver")
+
+
+def timed(fn, *args, **kwargs):
+    """Run fn, returning (result, elapsed milliseconds)."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, (time.perf_counter() - t0) * 1000.0
 
 
 def _fmt_walk(g, walk) -> str:
@@ -208,6 +216,8 @@ def _validate_finiteness_certificate(cert, p: ParamList) -> Word:
     the count differences vanish there, hence at every n; the length
     grows with n, so the members are infinitely many.
     """
+    if not len(cert.x) == len(cert.y) == len(cert.trace.cycles):
+        raise WitnessError("certificate needs one x and one y entry per cycle")
     if any(v < 1 for v in cert.x) or any(v < 0 for v in cert.y):
         raise WitnessError("certificate needs x >= 1 and y >= 0")
     g = cert.trace.graph

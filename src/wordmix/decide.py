@@ -22,7 +22,6 @@ balance system is feasible (_Separator).
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -362,7 +361,8 @@ def witness_family(cert: FinitenessCertificate, p: ParamList,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    exponents = [x + max(n - 1, 0) * y for x, y in zip(cert.x, cert.y)]
+    exponents = [x + max(n - 1, 0) * y
+                 for x, y in zip(cert.x, cert.y, strict=True)]
     walk = realize_walk(cert.trace, exponents)
     word = word_of_walk(cert.trace.graph, walk)
     if not is_member(word, p):
@@ -485,10 +485,3 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
     if cap is not None:
         return EquivalenceVerdict("unknown", None, None, checked, cap=cap)
     return EquivalenceVerdict("equal", None, None, checked)
-
-
-def timed(fn, *args, **kwargs):
-    """Run fn, returning (result, elapsed milliseconds)."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, (time.perf_counter() - t0) * 1000.0

@@ -1,8 +1,8 @@
 """Left-to-right decomposition of a walk into a simple path plus rooted cycles.
 
-Works over any directed graph that answers has_edge queries, so the same
-machinery serves small explicit fixtures and de Bruijn graphs. Rooted cycles
-are kept as written: two rotations of the same cycle are different objects.
+Works over any directed graph that answers has_edge queries. Rooted
+cycles are kept as written: two rotations of the same cycle are different
+objects.
 
 dec peels a cycle off the running path every time the walk revisits a vertex
 that is still on the path; comp splices cycles back, last one first, each at
@@ -18,34 +18,6 @@ from .errors import CompositionUndefinedError, NotAWalkError
 
 Vertex = int
 Walk = tuple[Vertex, ...]
-
-
-@dataclass(frozen=True)
-class ExplicitGraph:
-    """Fixture graph given by an explicit vertex tuple and edge set."""
-
-    vertex_tuple: tuple[Vertex, ...]
-    edges: frozenset[tuple[Vertex, Vertex]]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertex_tuple)
-
-    def vertices(self) -> tuple[Vertex, ...]:
-        return self.vertex_tuple
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return (u, v) in self.edges
-
-    def successors(self, v: Vertex) -> tuple[Vertex, ...]:
-        return tuple(w for w in self.vertex_tuple if (v, w) in self.edges)
-
-
-def complete_graph(n: int, self_loops: bool = True, first: int = 1) -> ExplicitGraph:
-    """Complete digraph on vertices first..first+n-1."""
-    vs = tuple(range(first, first + n))
-    edges = frozenset((u, v) for u in vs for v in vs if self_loops or u != v)
-    return ExplicitGraph(vs, edges)
 
 
 def check_walk(g, walk: Walk) -> None:

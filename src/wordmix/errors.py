@@ -5,10 +5,6 @@ class EmptyPatternError(ValueError):
     """Occurrence counting against an empty pattern is rejected outright."""
 
 
-class OutOfRangeError(ValueError):
-    """Requested prefix/suffix length exceeds the word length."""
-
-
 class BadStartLengthError(ValueError):
     """Start word does not have the graph dimension as its length."""
 

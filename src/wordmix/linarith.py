@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .debruijn import OccTable, build, walk_occ
+# build is not called here: it stays for perfbench/tracer.py TARGETS
+from .debruijn import OccTable, build, walk_occ  # noqa: F401
 from .errors import BudgetExceededError, WitnessError
 from .traces import OrderedTrace
 from .words import ParamList, add_vectors, occ_vector
@@ -506,22 +507,6 @@ def _solve_nonneg(x0, kernel, node_budget, system):
 # public solver entry points
 
 
-def ilp_feasible(coeffs, rhs, lower, strict=None, *,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> Feasibility:
-    """Decide ∃ integer x >= lower with row.x = rhs (or > rhs on strict rows).
-
-    Strict rows shift to >= rhs+1 and gain a slack variable; after that the
-    core search runs on equalities only.
-    """
-    coeffs = tuple(tuple(row) for row in coeffs)
-    if strict is None:
-        strict = [False] * len(coeffs)
-    rels = tuple("ge" if s else "eq" for s in strict)
-    shifted = tuple(b + 1 if s else b for b, s in zip(rhs, strict))
-    system = LinearSystem(coeffs, rels, shifted, tuple(lower))
-    return solve_system(system, node_budget=node_budget)
-
-
 def solve_system(system: LinearSystem, *,
                  node_budget: int = DEFAULT_NODE_BUDGET) -> Feasibility:
     """Decide a LinearSystem exactly; witnesses are re-validated."""
@@ -611,16 +596,16 @@ def homogeneous_nontrivial(coeffs, n_vars: int | None = None) -> Feasibility:
 
 
 def _trace_vectors(T: OrderedTrace, params: ParamList,
-                   table: OccTable | None = None, dim: int | None = None):
+                   table: OccTable | None = None):
     """Constant vector of the trace and one occurrence vector per cycle.
 
     A decision passes its OccTable, which sums each path and cycle once.
-    Without one they are counted afresh with walk_occ on a newly built
+    Without one they are counted afresh with walk_occ on the trace's own
     graph, the checked reference the table must agree with.
     """
     if table is not None:
         return table.const(T.path), [table.column(c) for c in T.cycles]
-    g = build(params.alphabet, dim if dim is not None else params.max_len)
+    g = T.graph
     start = occ_vector(g.vertex_word(T.path[0]), params)
     const = add_vectors(start, walk_occ(g, T.path, params))
     columns = [walk_occ(g, cyc, params) for cyc in T.cycles]
@@ -677,10 +662,8 @@ def build_psi_branches(T: OrderedTrace, p1: ParamList, p2: ParamList,
     if held not in (None, 1, 2):
         raise ValueError("held must be 1, 2 or None")
     t1, t2 = tables if tables is not None else (None, None)
-    # only the table-free reference path reads the graph dimension
-    dim = max(p1.max_len, p2.max_len) if tables is None else None
-    const1, cols1 = _trace_vectors(T, p1, t1, dim)
-    const2, cols2 = _trace_vectors(T, p2, t2, dim)
+    const1, cols1 = _trace_vectors(T, p1, t1)
+    const2, cols2 = _trace_vectors(T, p2, t2)
     m = len(T.cycles)
     lower = (1,) * m
 

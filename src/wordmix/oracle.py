@@ -1,4 +1,4 @@
-"""Brute-force ground truth: exhaustive member/walk enumeration.
+"""Brute-force ground truth: exhaustive member enumeration and census.
 
 The counting here is deliberately written against a different mechanism
 than the main library (regex lookahead instead of window slices) so the
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError
-from .traces import Trace, trace
 from .words import ParamList, Word
 
 DEFAULT_WORD_BUDGET = 10_000_000
@@ -65,26 +64,3 @@ def census(p: ParamList, maxlen: int, *,
     for w in enumerate_members(p, maxlen, budget=budget):
         counts[len(w)] += 1
     return Census(tuple(counts))
-
-
-def enumerate_walk_traces(g, starts, maxlen: int, *,
-                          budget: int = DEFAULT_WORD_BUDGET) -> set[Trace]:
-    """{trace(w) : w a walk from a start vertex with at most maxlen edges}."""
-    seen = 0
-    frontier = [(v,) for v in starts]
-    out = set()
-    for walk in frontier:
-        out.add(trace(g, walk))
-    for _ in range(maxlen):
-        grown = []
-        for walk in frontier:
-            for s in g.successors(walk[-1]):
-                seen += 1
-                if seen > budget:
-                    raise BudgetExceededError(
-                        f"walk enumeration exceeded the budget {budget}")
-                longer = walk + (s,)
-                out.add(trace(g, longer))
-                grown.append(longer)
-        frontier = grown
-    return out

@@ -1,13 +1,13 @@
 """Traces: the path/cycle content of a walk, validity testing, enumeration.
 
-The multi-trace of a walk records its decomposition path (multiplicity 1)
-and each peeled rooted cycle with its multiplicity; the trace forgets the
-multiplicities. A candidate collection is a valid trace exactly when the
-cycles can be attached one at a time, each at the first occurrence of its
-root on the walk composed so far, subject to two conditions: the prefix up
-to that occurrence is duplicate-free, and the cycle touches that prefix in
-its root only. Walks realising a trace exist for every choice of positive
-multiplicities, which is what the decision procedures pump on.
+The trace of a walk records its decomposition path and the set of rooted
+cycles peeled off it. A candidate collection is a valid trace exactly
+when the cycles can be attached one at a time, each at the first
+occurrence of its root on the walk composed so far, subject to two
+conditions: the prefix up to that occurrence is duplicate-free, and the
+cycle touches that prefix in its root only. Walks realising a trace
+exist for every choice of positive multiplicities, which is what the
+decision procedures pump on.
 
 Both the validity test and the enumeration search over states (P, used)
 rather than over whole walks: P is the longest duplicate-free prefix of
@@ -23,7 +23,6 @@ against the cycle cap, and builds them only when the count fits.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -33,25 +32,6 @@ from .words import word_to_str
 
 DEFAULT_MAX_TRACES = 1_000_000
 DEFAULT_MAX_CYCLES = 100_000
-
-
-@dataclass(frozen=True)
-class MultiTrace:
-    """Decomposition content with multiplicities; cycles sorted canonically."""
-
-    path: Walk
-    cycles: tuple[tuple[Walk, int], ...]
-
-    def multiplicity(self, item: Walk) -> int:
-        if item == self.path:
-            return 1
-        for cyc, count in self.cycles:
-            if cyc == item:
-                return count
-        return 0
-
-    def support(self) -> "Trace":
-        return Trace(self.path, frozenset(cyc for cyc, _ in self.cycles))
 
 
 @dataclass(frozen=True)
@@ -82,13 +62,6 @@ class OrderedTrace:
 
         return {"path": [word(v) for v in self.path],
                 "cycles": [[word(v) for v in cyc] for cyc in self.cycles]}
-
-
-def mtrace(g, walk: Walk) -> MultiTrace:
-    d = dec(g, walk)
-    counts = Counter(d.cycles)
-    ordered = tuple(sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return MultiTrace(d.path, ordered)
 
 
 def trace(g, walk: Walk) -> Trace:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .errors import EmptyPatternError, OutOfRangeError
+from .errors import EmptyPatternError
 
 Word = tuple[str, ...]
 OccVector = tuple[int, ...]
@@ -128,13 +128,6 @@ def suffix_indicator(w: Word, params: ParamList) -> OccVector:
         1 if len(p) <= len(w) and w[len(w) - len(p):] == p else 0
         for p in params.words
     )
-
-
-def pref_suff(w: Word, n: int) -> tuple[Word, Word]:
-    """The length-n prefix and length-n suffix of w."""
-    if n < 0 or n > len(w):
-        raise OutOfRangeError(f"length {n} out of range for a word of length {len(w)}")
-    return w[:n], w[len(w) - n:]
 
 
 def diff(vec: OccVector) -> int:

@@ -16,26 +16,23 @@ from wordmix import (
     build,
     census,
     comp,
-    complete_graph,
     dec,
     decide_equivalence,
     decide_finiteness,
     enumerate_members,
     enumerate_traces,
-    ilp_feasible,
-    homogeneous_nontrivial,
     is_trace,
     occ_vector,
-    trace,
     walk_occ,
-    walk_of_word,
     witness_family,
     word_to_str,
 )
+from wordmix.debruijn import walk_of_word
 from wordmix.errors import NotATraceError
-from wordmix.traces import Trace
+from wordmix.linarith import homogeneous_nontrivial
+from wordmix.traces import trace
 
-from conftest import plist
+from conftest import ExplicitGraph, complete_graph, ilp_feasible, plist
 
 
 SEED = 20260814
@@ -195,7 +192,6 @@ def test_06_trace_oracle_equivalence():
         assert ordered.as_trace() == t.as_trace()
 
     # the three attachability verdicts on the five-vertex figure
-    from wordmix import ExplicitGraph
     lobe = ExplicitGraph(
         (1, 2, 3, 4, 5),
         frozenset([(1, 2), (2, 3), (2, 4), (4, 2), (4, 5), (5, 4), (5, 5),

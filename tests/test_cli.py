@@ -214,7 +214,13 @@ def test_certificate_check_passes_and_returns_first_member():
     ((2, 1, 2), (0, 0, 0), AB_LIST, "does not grow"),
     ((2, 1, 2), (1, 0, 0), AB_LIST, "membership"),
     ((2, 1, 2), (1, 1, 1), plist("ab", "a", "b", "ab"), "does not fit"),
-], ids=["x-lowered", "y-negative", "y-zero", "y-off-kernel", "list-too-long"])
+    # one entry per cycle, neither more nor fewer
+    ((2, 1, 2, 1), (1, 1, 1), AB_LIST, "per cycle"),
+    ((2, 1, 2), (1, 1, 1, 5), AB_LIST, "per cycle"),
+    ((2, 1, 2, 1), (1, 1, 1, 1), AB_LIST, "per cycle"),
+    ((2, 1), (1, 1, 1), AB_LIST, "per cycle"),
+], ids=["x-lowered", "y-negative", "y-zero", "y-off-kernel", "list-too-long",
+        "x-too-long", "y-too-long", "both-too-long", "x-too-short"])
 def test_certificate_check_rejects_tampering(x, y, p, message):
     with pytest.raises(WitnessError, match=message):
         _validate_finiteness_certificate(

@@ -3,18 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from wordmix import (
     Alphabet,
-    BadStartLengthError,
     DimensionCapError,
     build,
-    enumerate_cycles,
-    enumerate_paths,
     occ_vector,
     word_from_str,
-    word_of_walk,
     walk_occ,
-    walk_of_word,
 )
-from wordmix.debruijn import OccTable, to_dot
+from wordmix.debruijn import OccTable, to_dot, walk_of_word, word_of_walk
+from wordmix.errors import BadStartLengthError
+from wordmix.traces import enumerate_cycles, enumerate_paths
 
 from conftest import plist
 

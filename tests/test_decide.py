@@ -9,7 +9,6 @@ from wordmix import (
     BudgetExceededError,
     Caps,
     FinitenessCertificate,
-    ParamList,
     build,
     build_balance_system,
     build_psi_branches,
@@ -19,14 +18,12 @@ from wordmix import (
     enumerate_traces,
     is_member,
     is_trace,
-    realize_walk,
     solve_system,
     witness_family,
-    word_from_str,
     word_to_str,
 )
 from wordmix.debruijn import OccTable, word_of_walk
-from wordmix.decide import _Separator, _TraceChecker
+from wordmix.decide import _Separator, _TraceChecker, realize_walk
 from wordmix.errors import WitnessError
 from wordmix.linarith import DEFAULT_NODE_BUDGET
 from wordmix.traces import OrderedTrace

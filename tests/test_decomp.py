@@ -3,23 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordmix import (
-    Alphabet,
-    CompositionUndefinedError,
-    NotAWalkError,
-    add_vectors,
-    build,
-    check_walk,
-    comp,
-    complete_graph,
-    dec,
-    is_cycle,
-    is_path,
-    walk_occ,
-    word_from_str,
-)
+from wordmix import Alphabet, build, comp, dec, walk_occ
+from wordmix.decomp import check_walk, is_cycle, is_path
+from wordmix.errors import CompositionUndefinedError, NotAWalkError
+from wordmix.words import add_vectors
 
-from conftest import plist
+from conftest import complete_graph, plist
 
 
 K4 = complete_graph(4)

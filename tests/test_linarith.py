@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,15 +13,14 @@ from wordmix import (
     build_psi_branches,
     build_pumping_system,
     enumerate_traces,
-    homogeneous_nontrivial,
-    ilp_feasible,
     is_trace,
     solve_system,
 )
 
 from wordmix.debruijn import OccTable
+from wordmix.linarith import homogeneous_nontrivial
 
-from conftest import plist
+from conftest import ilp_feasible, plist
 
 
 D2 = build(Alphabet.from_string("ab"), 2)
@@ -215,19 +214,33 @@ def test_psi_branches_permuted_list():
 
 def test_psi_branches_held_shares_concatenate():
     """held=1 and held=2 build the two shares of the full list, in order,
-    with or without tables."""
-    p1 = plist("ab", "ab", "ba", "a")
-    p2 = plist("ab", "ab", "ba", "a", "b")
-    tables = (OccTable(D2, p1), OccTable(D2, p2))
-    for T in list(enumerate_traces(D2))[::50]:
-        for tabs in (None, tables):
-            both = build_psi_branches(T, p1, p2, tabs)
-            one = build_psi_branches(T, p1, p2, tabs, held=1)
-            two = build_psi_branches(T, p1, p2, tabs, held=2)
-            assert both == one + two
-            assert len(one) == 2 * (p2.k - 1) and len(two) == 2 * (p1.k - 1)
-            assert all(b.label.startswith("list1") for b in one)
-            assert all(b.label.startswith("list2") for b in two)
+    with or without tables, and every trace system built without a table
+    equals the one built with it. In D^3 the lists are shorter than the
+    graph's dimension, so the table-free systems must count in the
+    trace's own graph."""
+    cases = ((D2, plist("ab", "ab", "ba", "a"),
+              plist("ab", "ab", "ba", "a", "b"), 50),
+             (build(Alphabet.from_string("ab"), 3), plist("ab", "ab", "ba"),
+              plist("ab", "ab", "ba", "a"), 10))
+    for g, p1, p2, step in cases:
+        tables = (OccTable(g, p1), OccTable(g, p2))
+        for T in islice(enumerate_traces(g), 0, 2000, step):
+            for p, table in zip((p1, p2), tables):
+                assert (build_balance_system(T, p)
+                        == build_balance_system(T, p, table))
+                assert (build_pumping_system(T, p)
+                        == build_pumping_system(T, p, table))
+            assert (build_psi_branches(T, p1, p2)
+                    == build_psi_branches(T, p1, p2, tables))
+            for tabs in (None, tables):
+                both = build_psi_branches(T, p1, p2, tabs)
+                one = build_psi_branches(T, p1, p2, tabs, held=1)
+                two = build_psi_branches(T, p1, p2, tabs, held=2)
+                assert both == one + two
+                assert (len(one) == 2 * (p2.k - 1)
+                        and len(two) == 2 * (p1.k - 1))
+                assert all(b.label.startswith("list1") for b in one)
+                assert all(b.label.startswith("list2") for b in two)
     with pytest.raises(ValueError):
         build_psi_branches(T1, p1, p2, held=3)
 

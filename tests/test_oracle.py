@@ -3,17 +3,15 @@ import pytest
 from wordmix import (
     Alphabet,
     BudgetExceededError,
-    Trace,
     build,
     census,
-    complete_graph,
     enumerate_members,
-    enumerate_walk_traces,
     is_member,
     word_from_str,
 )
+from wordmix.traces import Trace
 
-from conftest import plist
+from conftest import complete_graph, enumerate_walk_traces, plist
 
 
 def test_members_trivial_language():

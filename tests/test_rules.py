@@ -20,9 +20,9 @@ import wordmix.decide
 from wordmix import (BudgetExceededError, LinearSystem, build,
                      build_balance_system, build_pumping_system,
                      decide_finiteness, enumerate_members, enumerate_traces,
-                     homogeneous_nontrivial, solve_system)
+                     solve_system)
 from wordmix.decide import _Solves, _system_key, _TraceChecker
-from wordmix.linarith import DEFAULT_NODE_BUDGET
+from wordmix.linarith import DEFAULT_NODE_BUDGET, homogeneous_nontrivial
 
 from conftest import plist
 
@@ -235,7 +235,7 @@ def test_decisions_leave_no_cyclic_garbage():
 
 def test_witness_checks_survive_python_O():
     # an unbalanced family, and the CLI's certificate check on a balanced
-    # one that does not grow (y = 0)
+    # one that does not grow (y = 0) and on one with an x entry too many
     code = (
         "from wordmix import *\n"
         "from wordmix.cli import _validate_finiteness_certificate\n"
@@ -246,9 +246,10 @@ def test_witness_checks_survive_python_O():
         "bad = FinitenessCertificate(is_trace(g, [(0,), (0, 0)]), (1,), (1,))\n"
         "flat = FinitenessCertificate(is_trace(g, [(0, 1), (0, 1, 0)]),\n"
         "                             (1,), (0,))\n"
+        "long = FinitenessCertificate(flat.trace, (1, 1), (1,))\n"
+        "validate = lambda c: _validate_finiteness_certificate(c, p)\n"
         "for check, cert in ((lambda c: witness_family(c, p, 1), bad),\n"
-        "                    (lambda c: _validate_finiteness_certificate(c, p),\n"
-        "                     flat)):\n"
+        "                    (validate, flat), (validate, long)):\n"
         "    try:\n"
         "        check(cert)\n"
         "    except WitnessError as e:\n"
@@ -258,7 +259,9 @@ def test_witness_checks_survive_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2, proc.stdout
+    assert len(lines) == 3, proc.stdout
     assert lines[0].startswith("WitnessError"), proc.stdout
     assert lines[1] == "WitnessError the pumped word does not grow", \
         proc.stdout
+    assert lines[2] == ("WitnessError certificate needs one x and one y "
+                        "entry per cycle"), proc.stdout

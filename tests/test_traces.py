@@ -9,26 +9,19 @@ from hypothesis import given, settings, strategies as st
 from wordmix import (
     Alphabet,
     CapExceededError,
-    ExplicitGraph,
     NotATraceError,
-    Trace,
+    OrderedTrace,
     build,
     comp,
-    complete_graph,
-    dec,
-    enumerate_cycles,
-    enumerate_paths,
     enumerate_traces,
     is_trace,
-    mtrace,
-    trace,
     walk_occ,
 )
 
-from wordmix.traces import (DEFAULT_MAX_CYCLES, DEFAULT_MAX_TRACES,
-                            OrderedTrace, Walk)
+from wordmix.traces import (DEFAULT_MAX_CYCLES, DEFAULT_MAX_TRACES, Trace,
+                            Walk, enumerate_cycles, enumerate_paths, trace)
 
-from conftest import plist
+from conftest import ExplicitGraph, complete_graph, mtrace, plist
 
 
 AB = Alphabet.from_string("ab")

@@ -3,18 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from wordmix import (
     Alphabet,
-    EmptyPatternError,
-    OutOfRangeError,
     ParamList,
-    count_occurrences,
-    diff,
     is_member,
     occ_vector,
-    pref_suff,
-    suffix_indicator,
     word_from_str,
     word_to_str,
 )
+from wordmix.errors import EmptyPatternError
+from wordmix.words import count_occurrences, diff, suffix_indicator
 
 from conftest import plist
 
@@ -79,17 +75,6 @@ def test_suffix_indicator_matches_direct_count(w, v):
     for i, pat in enumerate(p.words):
         ends = len(w) >= len(pat) and w[len(w) - len(pat):] == pat
         assert got[i] == (1 if ends else 0)
-
-
-def test_pref_suff():
-    w = word_from_str("abba")
-    assert pref_suff(w, 0) == ((), ())
-    assert pref_suff(w, 2) == (word_from_str("ab"), word_from_str("ba"))
-    assert pref_suff(w, 4) == (w, w)
-    with pytest.raises(OutOfRangeError):
-        pref_suff(w, 5)
-    with pytest.raises(OutOfRangeError):
-        pref_suff(w, -1)
 
 
 def test_diff():
