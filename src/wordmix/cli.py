@@ -196,11 +196,10 @@ def _dump_finite(T, tables) -> None:
 def _dump_equiv(T, tables) -> None:
     """on_trace hook printing the negation branches of each checked
     trace, from the decision's own tables."""
-    t1, t2 = tables
+    balances = [build_balance_system(T, t.params, t) for t in tables]
     entry = {"trace": T.to_json_dict(),
              "branches": [b.to_json_dict() for b in
-                          build_psi_branches(T, t1.params, t2.params,
-                                             tables)]}
+                          build_psi_branches(*balances)]}
     print(json.dumps(entry, sort_keys=True))
 
 

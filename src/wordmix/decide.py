@@ -4,9 +4,11 @@ Both procedures stream the traces of the de Bruijn graph whose dimension
 is the longest parameter word, through one loop, _stream. Finiteness
 early-exits on the first trace whose balance and pumping systems are both
 feasible; equivalence must exhaust the traces, refuting every negation
-branch, before it may answer Equal. Caps, solver budgets and the graph
-build's fixed guard (debruijn.DEFAULT_MAX_VERTICES, 4096 vertices)
-surface as an Unknown verdict, never as a silently weakened answer.
+branch, before it may answer Equal. Caps, solver budgets and two fixed
+guards, the graph build's (debruijn.DEFAULT_MAX_VERTICES, 4096 vertices)
+and the cycle enumeration's (traces.DEFAULT_MAX_CYCLES, 100000 rooted
+cycles), surface as an Unknown verdict, never as a silently weakened
+answer.
 
 Each decision builds its graph once, plus one OccTable per parameter
 list, defines its per-trace check over them, hands both to _stream and
@@ -16,8 +18,8 @@ refute every trace at once (_TraceChecker.refutes_all), and (b)
 cycle-free traces are not streamed (decide_finiteness). Both decisions:
 (c) every solve goes through one per-decision memo, _Solves, on keys
 that forget the order of the cycles. Equivalence: (d) a trace's branches
-holding one list's chain are built and solved only when that list's
-balance system is feasible (_Separator).
+holding one list's balance system are built and solved only when that
+system is feasible (_Separator).
 """
 
 from __future__ import annotations
@@ -246,9 +248,16 @@ class _TraceChecker:
         one of the whole. So if the LP over the distinct columns of all
         cycles is infeasible, every trace fails its pumping test and M(p)
         is finite, whatever the trace caps would have cut off.
+
+        One column per simple cycle is read: a column sums the suffix
+        indicators over the cycle's vertex set, so every rotation of a
+        simple cycle has the same column, and exactly one rotation is
+        rooted at its least vertex. The set of distinct columns, which is
+        all the LP reads, is therefore that of all rooted cycles.
         """
-        rows = pumping_rows([self.table.column(c) for c in cycles], self.p.k)
-        self.pruned = self.solves.pumping(rows, len(cycles)) is None
+        simple = [c for c in cycles if c[0] == min(c)]
+        rows = pumping_rows([self.table.column(c) for c in simple], self.p.k)
+        self.pruned = self.solves.pumping(rows, len(simple)) is None
         return self.pruned
 
     def check(self, T: OrderedTrace) -> FinitenessCertificate | None:
@@ -379,16 +388,12 @@ class _Separator:
     (c) and (d) skip infeasible branches without changing which one is
     first.
 
-    Rule (d), the held pre-check. Every branch holding list h's chain
-    carries that chain's rows (component j equals component j+1) under
-    the lower bounds x >= 1 of list h's balance system, whose rows say
-    component j equals component 0. Each row set is made of integer
-    combinations of the other's, so both have exactly the solutions
-    x >= 1 on which all k_h components agree. When the balance system is
-    infeasible, so is every branch holding list h, and they are neither
-    built nor solved. A pre-check that runs out of budget skips nothing:
-    its branches run. Either kind of budget error is raised only when no
-    branch of T separates.
+    Rule (d), the held pre-check. Every branch holding list h contains
+    list h's balance system verbatim, so when that system is infeasible
+    so is every such branch, and they are neither built nor solved. A
+    pre-check that runs out of budget skips nothing: its branches run.
+    Either kind of budget error is raised only when no branch of T
+    separates.
     """
 
     def __init__(self, g: DeBruijnGraph, p1: ParamList, p2: ParamList,
@@ -412,16 +417,16 @@ class _Separator:
         return word, 1 if in1 else 2
 
     def check(self, T: OrderedTrace) -> tuple[Word, int] | None:
+        balances = [build_balance_system(T, p, table=t)
+                    for p, t in zip(self.lists, self.tables)]
         budget = None
         for h in (1, 2):
             try:
-                if not self.solves.feasible(build_balance_system(
-                        T, self.lists[h - 1], table=self.tables[h - 1])):
+                if not self.solves.feasible(balances[h - 1]):
                     continue
             except BudgetExceededError as e:
                 budget = e
-            for branch in build_psi_branches(T, *self.lists, self.tables,
-                                             held=h):
+            for branch in build_psi_branches(*balances, held=h):
                 try:
                     x = self.solves.witness(branch)
                 except BudgetExceededError as e:

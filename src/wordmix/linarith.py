@@ -615,17 +615,13 @@ def _trace_vectors(T: OrderedTrace, params: ParamList,
 def build_balance_system(T: OrderedTrace, p: ParamList,
                          table: OccTable | None = None) -> LinearSystem:
     """Equalities forcing all occurrence components of the pumped family
-    to agree, with every cycle multiplicity at least 1."""
+    to agree, with every cycle multiplicity at least 1. Row j-1 says that
+    component 0 equals component j: pumping row j-1 times x equals
+    const[j] - const[0]."""
     const, cols = _trace_vectors(T, p, table)
-    k = p.k
-    m = len(cols)
-    coeffs = []
-    rhs = []
-    for j in range(1, k):
-        coeffs.append(tuple(cols[i][0] - cols[i][j] for i in range(m)))
-        rhs.append(const[j] - const[0])
-    return LinearSystem(tuple(coeffs), ("eq",) * (k - 1), tuple(rhs),
-                        (1,) * m, label="balance")
+    rhs = tuple(const[j] - const[0] for j in range(1, p.k))
+    return LinearSystem(pumping_rows(cols, p.k), ("eq",) * (p.k - 1), rhs,
+                        (1,) * len(cols), label="balance")
 
 
 def build_pumping_system(T: OrderedTrace, p: ParamList,
@@ -642,61 +638,39 @@ def pumping_rows(columns, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c[0] - c[j] for c in columns) for j in range(1, k))
 
 
-def build_psi_branches(T: OrderedTrace, p1: ParamList, p2: ParamList,
-                       tables: tuple[OccTable, OccTable] | None = None,
+def build_psi_branches(b1: LinearSystem, b2: LinearSystem,
                        held: int | None = None) -> list[LinearSystem]:
-    """Negation branches of the per-trace agreement test for equivalence.
+    """Negation branches of the per-trace agreement test for equivalence,
+    from the two lists' balance systems over the same trace.
 
-    The trace agrees with both lists iff the two equality chains have the
-    same truth value for all multiplicities x >= 1. Each returned system
-    is one way to refute that: one chain holds while some adjacent pair of
-    the other is strictly ordered. The trace fails iff some branch is
-    feasible, and the branch witness pinpoints a separating word.
+    The trace agrees with both lists iff the two balance systems have the
+    same solutions x >= 1. Each returned system is one way to refute
+    that: list h's balance system holds while the other list's component
+    0 lies strictly above or below its component j. That is the other
+    balance system's row for component j, negated for "below", as a
+    >=-row with its right-hand side shifted by 1, which is exact over the
+    integers. All components agree iff component 0 equals each component
+    j, so the trace fails iff some branch is feasible, and the branch
+    witness pinpoints a separating word.
 
-    The branches holding list 1's chain come first, then those holding
-    list 2's. held = 1 or 2 returns only that list's share: the same
-    systems, in the same order.
+    The branches holding list 1 come first, then those holding list 2.
+    held = 1 or 2 returns only that list's share: the same systems, in
+    the same order.
     """
-    if p1.alphabet != p2.alphabet:
-        raise ValueError("parameter lists must share an alphabet")
+    if b1.n_vars != b2.n_vars:
+        raise ValueError("balance systems must share the trace's cycles")
     if held not in (None, 1, 2):
         raise ValueError("held must be 1, 2 or None")
-    t1, t2 = tables if tables is not None else (None, None)
-    const1, cols1 = _trace_vectors(T, p1, t1)
-    const2, cols2 = _trace_vectors(T, p2, t2)
-    m = len(T.cycles)
-    lower = (1,) * m
-
-    def chain_rows(const, cols, k):
-        rows = []
-        rhs = []
-        for j in range(k - 1):
-            rows.append(tuple(cols[i][j] - cols[i][j + 1] for i in range(m)))
-            rhs.append(const[j + 1] - const[j])
-        return rows, rhs
-
-    def strict_row(const, cols, a, b):
-        # component a strictly above component b, as a >=-row shifted by 1
-        row = tuple(cols[i][a] - cols[i][b] for i in range(m))
-        return row, const[b] - const[a] + 1
-
-    eq1_rows, eq1_rhs = chain_rows(const1, cols1, p1.k)
-    eq2_rows, eq2_rhs = chain_rows(const2, cols2, p2.k)
-
     branches = []
-    for h, held_rows, held_rhs, broken_const, broken_cols, broken_k in (
-            (1, eq1_rows, eq1_rhs, const2, cols2, p2.k),
-            (2, eq2_rows, eq2_rhs, const1, cols1, p1.k)):
+    for h, kept, other in ((1, b1, b2), (2, b2, b1)):
         if held not in (None, h):
             continue
-        for j in range(broken_k - 1):
-            for a, b, tag in ((j, j + 1, "above"), (j + 1, j, "below")):
-                row, bound = strict_row(broken_const, broken_cols, a, b)
-                coeffs = tuple(held_rows) + (row,)
-                rels = ("eq",) * len(held_rows) + ("ge",)
-                rhs = tuple(held_rhs) + (bound,)
-                label = (f"list{h} balanced, other pair {j} "
-                         f"component {a} {tag} component {b}")
-                branches.append(LinearSystem(coeffs, rels, rhs, lower,
-                                             label=label))
+        for j, (row, s) in enumerate(zip(other.coeffs, other.rhs), 1):
+            for sign, tag in ((1, "above"), (-1, "below")):
+                branches.append(LinearSystem(
+                    kept.coeffs + (tuple(sign * a for a in row),),
+                    kept.rels + ("ge",), kept.rhs + (sign * s + 1,),
+                    kept.lower,
+                    label=f"list{h} balanced, other component 0 {tag} "
+                          f"component {j}"))
     return branches

@@ -183,41 +183,46 @@ def test_zero_cycle_trace_systems():
     assert not homogeneous_nontrivial(build_pumping_system(t, p)).feasible
 
 
+def _balances(T, *lists):
+    return [build_balance_system(T, p) for p in lists]
+
+
 def test_psi_branches_t1():
     p1 = plist("ab", "ab", "ba", "a")
     p2 = plist("ab", "ab", "ba", "a", "b")
-    branches = build_psi_branches(T1, p1, p2)
-    # 2 per adjacent pair of the broken chain, both held/broken roles
+    branches = build_psi_branches(*_balances(T1, p1, p2))
+    # 2 per row of the other balance system, both held/broken roles
     assert len(branches) == 2 * (p2.k - 1) + 2 * (p1.k - 1)
     assert all(b.lower == (1,) for b in branches)
     feasible = [b for b in branches if solve_system(b).feasible]
-    # theta^a > theta^b asks 0 >= 2: impossible. theta^b > theta^a asks
+    # list 2's component 0 (ab) is 1 + x and its component 3 (b) is
+    # 2 + x. "0 above 3" asks 0 >= 2: impossible. "0 below 3" asks
     # 0 >= 0: the single way this trace distinguishes the two lists.
     assert [b.label for b in feasible] == [
-        "list1 balanced, other pair 2 component 3 below component 2"]
+        "list1 balanced, other component 0 below component 3"]
     res = solve_system(feasible[0])
     assert feasible[0].satisfied_by(res.witness)
 
 
 def test_psi_branches_same_list():
     p = plist("ab", "ab", "ba", "a")
-    for b in build_psi_branches(T1, p, p):
+    for b in build_psi_branches(*_balances(T1, p, p)):
         assert not solve_system(b).feasible
 
 
 def test_psi_branches_permuted_list():
     p1 = plist("ab", "ab", "ba", "a")
     p2 = plist("ab", "a", "ab", "ba")
-    for b in build_psi_branches(T1, p1, p2):
+    for b in build_psi_branches(*_balances(T1, p1, p2)):
         assert not solve_system(b).feasible
 
 
 def test_psi_branches_held_shares_concatenate():
     """held=1 and held=2 build the two shares of the full list, in order,
-    with or without tables, and every trace system built without a table
-    equals the one built with it. In D^3 the lists are shorter than the
-    graph's dimension, so the table-free systems must count in the
-    trace's own graph."""
+    each branch holding its list's balance system verbatim, and every
+    trace system built without a table equals the one built with it. In
+    D^3 the lists are shorter than the graph's dimension, so the
+    table-free systems must count in the trace's own graph."""
     cases = ((D2, plist("ab", "ab", "ba", "a"),
               plist("ab", "ab", "ba", "a", "b"), 50),
              (build(Alphabet.from_string("ab"), 3), plist("ab", "ab", "ba"),
@@ -230,26 +235,29 @@ def test_psi_branches_held_shares_concatenate():
                         == build_balance_system(T, p, table))
                 assert (build_pumping_system(T, p)
                         == build_pumping_system(T, p, table))
-            assert (build_psi_branches(T, p1, p2)
-                    == build_psi_branches(T, p1, p2, tables))
-            for tabs in (None, tables):
-                both = build_psi_branches(T, p1, p2, tabs)
-                one = build_psi_branches(T, p1, p2, tabs, held=1)
-                two = build_psi_branches(T, p1, p2, tabs, held=2)
-                assert both == one + two
-                assert (len(one) == 2 * (p2.k - 1)
-                        and len(two) == 2 * (p1.k - 1))
-                assert all(b.label.startswith("list1") for b in one)
-                assert all(b.label.startswith("list2") for b in two)
+            b1, b2 = _balances(T, p1, p2)
+            both = build_psi_branches(b1, b2)
+            one = build_psi_branches(b1, b2, held=1)
+            two = build_psi_branches(b1, b2, held=2)
+            assert both == one + two
+            assert (len(one) == 2 * (p2.k - 1)
+                    and len(two) == 2 * (p1.k - 1))
+            assert all(b.label.startswith("list1") for b in one)
+            assert all(b.label.startswith("list2") for b in two)
+            for held, share in ((b1, one), (b2, two)):
+                assert all(b.coeffs[:-1] == held.coeffs
+                           and b.rhs[:-1] == held.rhs
+                           and b.rels == held.rels + ("ge",)
+                           for b in share)
     with pytest.raises(ValueError):
-        build_psi_branches(T1, p1, p2, held=3)
+        build_psi_branches(b1, b2, held=3)
 
 
-def test_psi_branches_alphabet_mismatch():
-    p1 = plist("ab", "ab")
-    p2 = plist("abc", "ab")
+def test_psi_branches_cycle_count_mismatch():
+    p = plist("ab", "ab", "ba")
+    t0 = is_trace(D2, [(2, 1)])
     with pytest.raises(ValueError):
-        build_psi_branches(T1, p1, p2)
+        build_psi_branches(*_balances(T1, p), *_balances(t0, p))
 
 
 def _brute_eq(rows, rhs, lower, box):

@@ -2,11 +2,14 @@
 exposes, and the names the benchmark and the README read from it."""
 
 import ast
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
 
 import wordmix
+
+from conftest import plist
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +73,35 @@ def test_readme_library_example_imports_only_public_names():
     used = _top_level_names(ast.parse(code))
     assert used
     assert used <= set(wordmix.__all__), used - set(wordmix.__all__)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_reached():
+    """The benchmark's tracer wraps names in the library's namespaces and
+    books each call to a span. A refactor that stops calling one of them
+    would leave its per-layer metric at 0; so one finiteness decision
+    that streams traces up to a certificate and one equivalence decision
+    that separates by a branch must reach every span. Exempt: walk_occ,
+    which decisions no longer call (they read OccTable sums), and
+    linarith's build, which shares its span name with decide's."""
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        fin = wordmix.decide_finiteness(plist("ab", "ab", "ba", "a"))
+        eq = wordmix.decide_equivalence(plist("ab", "ab", "ba"),
+                                        plist("ab", "aa", "bb"))
+    finally:
+        tracer.restore()
+    assert fin.verdict == "infinite" and fin.traces_checked > 1
+    assert eq.verdict == "not_equal" and eq.traces_checked > 0
+    reached = {span[0] for span in tracer.spans}
+    expected = {name for _, _, name in tracer_mod.TARGETS}
+    assert reached == expected - {"debruijn.walk_occ"}
