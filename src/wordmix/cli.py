@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 from .debruijn import DEFAULT_MAX_VERTICES, build, to_dot, walk_of_word
 from .decide import (Caps, decide_equivalence, decide_finiteness,
@@ -181,22 +182,19 @@ def _build_parser() -> _Parser:
 # subcommand bodies
 
 
-def _dump_finite(T, tables) -> None:
-    """on_trace hook printing the systems of each trace the decision
-    checks, from the decision's own table."""
-    (table,) = tables
-    p = table.params
+def _dump_finite(p: ParamList, T) -> None:
+    """on_trace hook, bound to p, printing the systems of each trace the
+    decision checks, counted on the trace's own graph."""
     entry = {"trace": T.to_json_dict(),
-             "balance": build_balance_system(T, p, table).to_json_dict(),
-             "pumping_rows": [list(r) for r in
-                              build_pumping_system(T, p, table)]}
+             "balance": build_balance_system(T, p).to_json_dict(),
+             "pumping_rows": [list(r) for r in build_pumping_system(T, p)]}
     print(json.dumps(entry, sort_keys=True))
 
 
-def _dump_equiv(T, tables) -> None:
-    """on_trace hook printing the negation branches of each checked
-    trace, from the decision's own tables."""
-    balances = [build_balance_system(T, t.params, t) for t in tables]
+def _dump_equiv(p1: ParamList, p2: ParamList, T) -> None:
+    """on_trace hook, bound to p1 and p2, printing the negation branches
+    of each checked trace, counted on the trace's own graph."""
+    balances = [build_balance_system(T, p) for p in (p1, p2)]
     entry = {"trace": T.to_json_dict(),
              "branches": [b.to_json_dict() for b in
                           build_psi_branches(*balances)]}
@@ -243,7 +241,7 @@ def _report_not_infinite(p: ParamList, verdict, ms: float,
 def _cmd_finite(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     p = _parse_words(alphabet, args.words)
-    on_trace = _dump_finite if args.dump_systems else None
+    on_trace = partial(_dump_finite, p) if args.dump_systems else None
     verdict, ms = timed(decide_finiteness, p, _caps_from(args),
                         on_trace=on_trace)
     if verdict.verdict != "infinite":
@@ -268,7 +266,7 @@ def _cmd_equiv(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     p1 = _parse_words(alphabet, args.list1)
     p2 = _parse_words(alphabet, args.list2)
-    on_trace = _dump_equiv if args.dump_systems else None
+    on_trace = partial(_dump_equiv, p1, p2) if args.dump_systems else None
     verdict, ms = timed(decide_equivalence, p1, p2, _caps_from(args),
                         on_trace=on_trace)
     if args.json:

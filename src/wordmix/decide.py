@@ -281,12 +281,12 @@ class _TraceChecker:
         return FinitenessCertificate(T, x, y)
 
 
-OnTrace = Callable[[OrderedTrace, tuple[OccTable, ...]], None]
+OnTrace = Callable[[OrderedTrace], None]
 
 
 def _stream(traces: Iterator[OrderedTrace],
             check: Callable[[OrderedTrace], object | None],
-            on_trace: Callable[[OrderedTrace], None] | None
+            on_trace: OnTrace | None
             ) -> tuple[object | None, int, str | None]:
     """The one loop over traces: (result, traces_checked, cap).
 
@@ -326,9 +326,8 @@ def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
     Rule (b): the stream starts at cycle-set size 1. A cycle-free trace
     realises a single word, so _TraceChecker.check refuses it, and
     skipping it loses no certificate. traces_checked therefore counts
-    traces with cycles only. on_trace, if given, is called as
-    on_trace(T, tables) with every trace checked, in order, before it is
-    checked; tables is the decision's one OccTable, in a tuple.
+    traces with cycles only. on_trace, if given, is called with every
+    trace checked, in order, before it is checked.
     """
     try:
         g = build(p.alphabet, p.max_len)
@@ -337,10 +336,7 @@ def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
     checker = _TraceChecker(g, p, caps.node_budget)
     traces = enumerate_traces(g, max_traces=caps.max_traces, min_cycles=1,
                               prune=checker.refutes_all)
-    tables = (checker.table,)
-    cert, checked, cap = _stream(
-        traces, checker.check,
-        None if on_trace is None else lambda T: on_trace(T, tables))
+    cert, checked, cap = _stream(traces, checker.check, on_trace)
     if cert is not None:
         return FinitenessVerdict("infinite", cert, checked)
     if cap is not None:
@@ -450,9 +446,8 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
     streams traces and tries to refute the per-trace agreement
     (_Separator, with rules (c) and (d)); the first feasible negation
     branch is turned into a concrete word and re-validated before it is
-    believed. on_trace, if given, is called as on_trace(T, tables) with
-    every trace checked, in order, before it is checked; tables holds
-    the decision's two OccTables.
+    believed. on_trace, if given, is called with every trace checked, in
+    order, before it is checked.
 
     Phase 1 stops below the first length l with |A|^l words past the
     vertex guard. Since |A|^l <= |A|^dim for l < dim, that stop cuts the
@@ -479,12 +474,8 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
         return EquivalenceVerdict("unknown", None, None, 0, cap=str(e))
 
     separator = _Separator(g, p1, p2, caps.node_budget)
-    tables = separator.tables
-
     traces = enumerate_traces(g, max_traces=caps.max_traces)
-    found, checked, cap = _stream(
-        traces, separator.check,
-        None if on_trace is None else lambda T: on_trace(T, tables))
+    found, checked, cap = _stream(traces, separator.check, on_trace)
     if found is not None:
         return EquivalenceVerdict("not_equal", *found, checked)
     if cap is not None:

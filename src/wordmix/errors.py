@@ -21,10 +21,6 @@ class CompositionUndefinedError(ValueError):
 class NotATraceError(ValueError):
     """Candidate path/cycle collection is not the trace of any walk."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class DimensionCapError(RuntimeError):
     """Building the graph would exceed the configured vertex cap."""

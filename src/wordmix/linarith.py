@@ -3,14 +3,16 @@
 Everything here is arbitrary-precision integer or Fraction arithmetic; no
 float enters any verdict. The solver stack, cheapest first:
 
-  1. row normalization (gcd division, zero-row consistency),
+  1. row normalization in one pass (slack columns, the shift to z >= 0,
+     gcd division, zero-row and divisibility refutations),
   2. an integer lattice check ignoring bounds (unimodular column
      elimination plus forward substitution with divisibility tests),
-  3. interval propagation over the variable boxes,
-  4. branch-and-bound on a phase-1 rational LP relaxation, complete
-     thanks to the classical small-solution bound for integer programs;
-     when its first, narrow round fails, one LP over the whole rational
-     relaxation refutes most infeasible systems before any wider round.
+  3. one phase-1 rational LP over the whole system: no rational
+     solution means no integer one, and most infeasible systems stop
+     here,
+  4. interval propagation over the variable boxes,
+  5. branch-and-bound on phase-1 LP relaxations of the boxes, complete
+     thanks to the classical small-solution bound for integer programs.
 
 Feasible answers always carry a witness that is re-checked exactly, by
 explicit checks that raise WitnessError and so also run under python -O;
@@ -61,10 +63,6 @@ class LinearSystem:
         for rel in self.rels:
             if rel not in ("eq", "ge"):
                 raise ValueError(f"unknown relation {rel!r}")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.coeffs)
 
     @property
     def n_vars(self) -> int:
@@ -446,10 +444,11 @@ def _solve_nonneg(x0, kernel, node_budget, system):
     completeness bound) can conclude infeasibility. Rounds share the
     node budget; a non-final round that stalls is abandoned early.
 
-    An integer solution is a rational one. So when the cheap first round
-    finds none, one rational LP over system runs before any wider round:
-    if it is infeasible, so is the lattice search, which could only have
-    concluded that in its final, widest round.
+    An integer solution is a rational one. So before any round, one
+    rational LP over system decides the relaxation: when it is
+    infeasible, so is the lattice search, which could only have
+    concluded that in its final, widest round. A feasible relaxation
+    leaves the search as it would be without the LP.
     """
     if all(v >= 0 for v in x0):
         return list(x0)
@@ -465,6 +464,8 @@ def _solve_nonneg(x0, kernel, node_budget, system):
                 return None
             continue
         keep.append((i, coeffs))
+    if _phase1(*system) is None:
+        return None
     # bound on |t| for some solution, from the small-solution bound of
     # the sign-split slack form of K.t >= -x0 (variables u, v, s)
     bound = _solution_bound([coeffs for _, coeffs in keep],
@@ -472,7 +473,7 @@ def _solve_nonneg(x0, kernel, node_budget, system):
                             2 * d + len(keep))
     width = d + len(keep)
     remaining = node_budget
-    cap = first_cap = min(16, 2 * bound)
+    cap = min(16, 2 * bound)
     while True:
         shift = cap // 2
         rows = []
@@ -495,8 +496,6 @@ def _solve_nonneg(x0, kernel, node_budget, system):
             return z
         if final and status == "unsat":
             return None
-        if cap == first_cap and not final and _phase1(*system) is None:
-            return None
         if remaining <= 0:
             raise BudgetExceededError(
                 f"integer search exceeded {node_budget} nodes")
@@ -509,53 +508,42 @@ def _solve_nonneg(x0, kernel, node_budget, system):
 
 def solve_system(system: LinearSystem, *,
                  node_budget: int = DEFAULT_NODE_BUDGET) -> Feasibility:
-    """Decide a LinearSystem exactly; witnesses are re-validated."""
+    """Decide a LinearSystem exactly; witnesses are re-validated.
+
+    One pass over the rows gives each 'ge' row a slack column, shifts to
+    z >= 0, divides by the gcd and refutes a zero or indivisible row.
+    """
     n = system.n_vars
+    slacks = system.rels.count("ge")
     rows = []
     rhs = []
-    slacks = 0
+    s = n
     for row, rel, b in zip(system.coeffs, system.rels, system.rhs):
+        b -= sum(a * lo for a, lo in zip(row, system.lower))
+        row = list(row) + [0] * slacks
         if rel == "ge":
-            slacks += 1
-        rows.append((list(row), rel, b))
-    eq_rows = []
-    eq_rhs = []
-    s = 0
-    for row, rel, b in rows:
-        full = row + [0] * slacks
-        if rel == "ge":
-            full[n + s] = -1
+            row[s] = -1
             s += 1
-        eq_rows.append(full)
-        eq_rhs.append(b)
-    lower = list(system.lower) + [0] * slacks
-
-    # shift to z >= 0
-    shifted_rhs = [b - sum(a * l for a, l in zip(row, lower))
-                   for row, b in zip(eq_rows, eq_rhs)]
-    kept_rows = []
-    kept_rhs = []
-    for row, b in zip(eq_rows, shifted_rhs):
-        if all(a == 0 for a in row):
+        g = math.gcd(*row)
+        if g == 0:
             if b != 0:
                 return INFEASIBLE
             continue
-        g = math.gcd(*(abs(a) for a in row))
         if b % g != 0:
             return INFEASIBLE
-        kept_rows.append([a // g for a in row])
-        kept_rhs.append(b // g)
+        rows.append([a // g for a in row])
+        rhs.append(b // g)
 
-    if not kept_rows:
+    if not rows:
         witness = tuple(system.lower)
         _require(system.satisfied_by(witness), "lower-bound witness")
         return Feasibility(True, witness)
 
-    lattice = _lattice_solve(kept_rows, kept_rhs)
+    lattice = _lattice_solve(rows, rhs)
     if lattice is None:
         return INFEASIBLE
 
-    z = _solve_nonneg(*lattice, node_budget, (kept_rows, kept_rhs))
+    z = _solve_nonneg(*lattice, node_budget, (rows, rhs))
     if z is None:
         return INFEASIBLE
     witness = tuple(zj + lj for zj, lj in zip(z[:n], system.lower[:n]))
@@ -563,17 +551,13 @@ def solve_system(system: LinearSystem, *,
     return Feasibility(True, witness)
 
 
-def homogeneous_nontrivial(coeffs, n_vars: int | None = None) -> Feasibility:
+def homogeneous_nontrivial(coeffs, n_vars: int) -> Feasibility:
     """Decide ∃ y in N^m, y != 0, with coeffs . y = 0.
 
     Homogeneity lets the rationals answer for the integers: normalize with
     sum(y) = 1, solve the rational LP, then clear denominators.
     """
     coeffs = [tuple(row) for row in coeffs]
-    if n_vars is None:
-        if not coeffs:
-            raise ValueError("n_vars required when no rows are given")
-        n_vars = len(coeffs[0])
     if n_vars == 0:
         return INFEASIBLE
     rows = [list(row) for row in coeffs]

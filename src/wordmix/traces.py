@@ -26,18 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .decomp import Walk, check_walk, dec, is_cycle, is_path
+from .decomp import Walk, check_walk, is_cycle, is_path
 from .errors import CapExceededError, NotATraceError
 from .words import word_to_str
 
 DEFAULT_MAX_TRACES = 1_000_000
 DEFAULT_MAX_CYCLES = 100_000
-
-
-@dataclass(frozen=True)
-class Trace:
-    path: Walk
-    cycles: frozenset[Walk]
 
 
 @dataclass(frozen=True)
@@ -52,9 +46,6 @@ class OrderedTrace:
     cycles: tuple[Walk, ...]
     graph: object = field(compare=False, repr=False)
 
-    def as_trace(self) -> Trace:
-        return Trace(self.path, frozenset(self.cycles))
-
     def to_json_dict(self) -> dict:
         """Path and cycles as lists of vertex words."""
         def word(v):
@@ -62,11 +53,6 @@ class OrderedTrace:
 
         return {"path": [word(v) for v in self.path],
                 "cycles": [[word(v) for v in cyc] for cyc in self.cycles]}
-
-
-def trace(g, walk: Walk) -> Trace:
-    d = dec(g, walk)
-    return Trace(d.path, frozenset(d.cycles))
 
 
 # A search state: (P, used, seq). P is the longest duplicate-free prefix

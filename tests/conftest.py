@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: parameter lists from plain strings,
-explicit fixture graphs, a plain-row ILP front end, multi-traces and the
-brute-force walk-trace search."""
+explicit fixture graphs, a plain-row ILP front end, unordered traces,
+multi-traces and the brute-force walk-trace search."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from wordmix.errors import BudgetExceededError
 from wordmix.linarith import (DEFAULT_NODE_BUDGET, Feasibility, LinearSystem,
                               solve_system)
 from wordmix.oracle import DEFAULT_WORD_BUDGET
-from wordmix.traces import Trace, trace
+from wordmix.traces import OrderedTrace
 
 
 def plist(alphabet: str, *words: str) -> ParamList:
@@ -61,6 +61,24 @@ def ilp_feasible(coeffs, rhs, lower, strict=None, *,
     shifted = tuple(b + 1 if s else b for b, s in zip(rhs, strict))
     system = LinearSystem(coeffs, rels, shifted, tuple(lower))
     return solve_system(system, node_budget=node_budget)
+
+
+@dataclass(frozen=True)
+class Trace:
+    """The trace of a walk: its decomposition path and set of cycles."""
+
+    path: Walk
+    cycles: frozenset[Walk]
+
+
+def trace(g, walk: Walk) -> Trace:
+    d = dec(g, walk)
+    return Trace(d.path, frozenset(d.cycles))
+
+
+def as_trace(t: OrderedTrace) -> Trace:
+    """An OrderedTrace without its attachment order."""
+    return Trace(t.path, frozenset(t.cycles))
 
 
 @dataclass(frozen=True)

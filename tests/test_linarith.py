@@ -100,9 +100,8 @@ def test_solver_budget():
     assert sum(a * v for a, v in zip((5, -3, 2), res.witness)) == 11
 
 
-def test_relaxation_refutes_before_wide_rounds(monkeypatch):
-    """A system without a rational solution stops after the first, narrow
-    search round instead of widening up to the completeness bound."""
+def _spy_box_caps(monkeypatch):
+    """The cap of every _search_box round, in call order."""
     import wordmix.linarith as linarith
     caps = []
     real = linarith._search_box
@@ -112,31 +111,49 @@ def test_relaxation_refutes_before_wide_rounds(monkeypatch):
         return real(rows, rhs, n, cap, allowance)
 
     monkeypatch.setattr(linarith, "_search_box", spy)
+    return caps
+
+
+def test_relaxation_refutes_before_wide_rounds(monkeypatch):
+    """A system without a rational solution is refuted by the relaxation
+    and never enters the box search, let alone its wide rounds."""
+    caps = _spy_box_caps(monkeypatch)
     # with x >= 1, row 2 (x1 + x2 + x4 = -1) has no rational solution,
     # but the lattice point has negative entries, so the search starts
     s = LinearSystem(((-1, 0, -1, 0, 1), (1, 1, 0, 1, 0), (0, 1, -1, 1, 1)),
                      ("eq",) * 3, (-1, -1, -2), (1,) * 5)
     assert not solve_system(s).feasible
-    assert caps == [16]
+    assert caps == []
+
+
+def test_relaxation_does_not_stand_in_for_the_integer_search(monkeypatch):
+    """2*x1 + 3*x2 = 3 with x1 >= 1, x2 >= 0 (x0 >= 0 is in no row) has
+    the rational point (x1, x2) = (1, 1/3), integer points once the bounds
+    are dropped, but no integer point within them: only the widening box
+    search, up to its final round, may refute it."""
+    caps = _spy_box_caps(monkeypatch)
+    s = LinearSystem(((0, 2, 3),), ("eq",), (3,), (0, 1, 0))
+    assert not solve_system(s).feasible
+    assert len(caps) > 1
 
 
 def test_homogeneous_fixtures():
     # all-zero rows: the single multiplicity pumps freely
-    res = homogeneous_nontrivial(((0,), (0,)))
+    res = homogeneous_nontrivial(((0,), (0,)), 1)
     assert res.feasible and res.witness == (1,)
     # opposite unit imbalances cancel
-    res = homogeneous_nontrivial(((1, -1),))
+    res = homogeneous_nontrivial(((1, -1),), 2)
     assert res.feasible and res.witness == (1, 1)
     # no variables: y != 0 is impossible
     assert not homogeneous_nontrivial((), n_vars=0).feasible
     assert not homogeneous_nontrivial(((),), n_vars=0).feasible
     # forced to zero
-    assert not homogeneous_nontrivial(((1, 1),)).feasible
+    assert not homogeneous_nontrivial(((1, 1),), 2).feasible
 
 
 def test_homogeneous_witness_validates():
     rows = ((2, -1, 0), (0, 1, -2))
-    res = homogeneous_nontrivial(rows)
+    res = homogeneous_nontrivial(rows, 3)
     assert res.feasible
     y = res.witness
     assert any(y) and all(v >= 0 for v in y)
@@ -147,7 +164,7 @@ def test_homogeneous_witness_validates():
 def test_balance_system_t1():
     p = plist("ab", "ab", "ba", "a")
     s = build_balance_system(T1, p)
-    assert s.n_rows == 2 and s.n_vars == 1
+    assert len(s.coeffs) == 2 and s.n_vars == 1
     assert s.lower == (1,)
     assert set(s.rels) == {"eq"}
     # both components already agree, so the rows are trivial
@@ -160,7 +177,7 @@ def test_balance_system_t1():
 def test_balance_system_t1_with_b():
     p = plist("ab", "ab", "ba", "a", "b")
     s = build_balance_system(T1, p)
-    assert s.n_rows == 3
+    assert len(s.coeffs) == 3
     # the b-row forces 1 + x = 2 + x
     assert not solve_system(s).feasible
 
@@ -170,7 +187,7 @@ def test_pumping_system_t1():
     rows = build_pumping_system(T1, p4)
     assert rows == ((0,), (0,), (0,))
     # balance fails for this list but pumping still holds
-    assert homogeneous_nontrivial(rows).feasible
+    assert homogeneous_nontrivial(rows, 1).feasible
 
 
 def test_zero_cycle_trace_systems():
@@ -180,7 +197,7 @@ def test_zero_cycle_trace_systems():
     assert s.n_vars == 0
     # phi(ba) + phi(walk) = (0,1) + (1,0): components agree
     assert solve_system(s).feasible
-    assert not homogeneous_nontrivial(build_pumping_system(t, p)).feasible
+    assert not homogeneous_nontrivial(build_pumping_system(t, p), 0).feasible
 
 
 def _balances(T, *lists):
@@ -303,7 +320,7 @@ def test_ilp_matches_brute_force(rows_n, data):
 @settings(max_examples=120, deadline=None)
 def test_homogeneous_matches_brute_force(rows):
     n = len(rows[0])
-    res = homogeneous_nontrivial(rows)
+    res = homogeneous_nontrivial(rows, n)
     brute = None
     for ys in product(range(7), repeat=n):
         if any(ys) and all(sum(a * v for a, v in zip(row, ys)) == 0

@@ -9,9 +9,7 @@ from wordmix import (
     is_member,
     word_from_str,
 )
-from wordmix.traces import Trace
-
-from conftest import complete_graph, enumerate_walk_traces, plist
+from conftest import Trace, complete_graph, enumerate_walk_traces, plist
 
 
 def test_members_trivial_language():

@@ -18,10 +18,11 @@ from wordmix import (
     walk_occ,
 )
 
-from wordmix.traces import (DEFAULT_MAX_CYCLES, DEFAULT_MAX_TRACES, Trace,
-                            Walk, enumerate_cycles, enumerate_paths, trace)
+from wordmix.traces import (DEFAULT_MAX_CYCLES, DEFAULT_MAX_TRACES, Walk,
+                            enumerate_cycles, enumerate_paths)
 
-from conftest import ExplicitGraph, complete_graph, mtrace, plist
+from conftest import (ExplicitGraph, Trace, as_trace, complete_graph, mtrace,
+                      plist, trace)
 
 
 AB = Alphabet.from_string("ab")
@@ -72,7 +73,7 @@ def test_is_trace_verdicts():
     assert ordered.path == pi
     # comp must be defined on the returned ordering and reproduce the set
     w = comp(LOBE, ordered.path, ordered.cycles)
-    assert trace(LOBE, w) == ordered.as_trace()
+    assert trace(LOBE, w) == as_trace(ordered)
 
     # (5,5) only touches vertex 5, unreachable once (4,5,4) is absent
     with pytest.raises(NotATraceError):
@@ -138,13 +139,13 @@ def test_enumerate_traces_d2_census():
     sizes = Counter(len(t.cycles) for t in traces)
     assert sizes == {0: 22, 1: 108, 2: 266, 3: 378, 4: 308, 5: 132, 6: 22}
     # exactly once up to set equality
-    as_sets = {t.as_trace() for t in traces}
+    as_sets = {as_trace(t) for t in traces}
     assert len(as_sets) == len(traces)
     assert all(t.graph is D2 for t in traces)
     # every ordering is composable and faithful
     for t in traces[:200]:
         w = comp(D2, t.path, t.cycles)
-        assert trace(D2, w) == t.as_trace()
+        assert trace(D2, w) == as_trace(t)
 
 
 def test_enumerate_traces_deterministic():
@@ -166,7 +167,7 @@ def test_enumerate_traces_caps():
 
 def test_enumeration_contains_all_walk_traces():
     """Brute-force all walks of length <= 7 and look their traces up."""
-    enumerated = {t.as_trace() for t in enumerate_traces(D2)}
+    enumerated = {as_trace(t) for t in enumerate_traces(D2)}
     frontier = [(v,) for v in D2.vertices()]
     seen = set()
     for _ in range(7):
@@ -193,7 +194,7 @@ def test_realizability_random_multiplicities():
         # keep attachment order: copies of cycles[i] stay at position i
         reps_ordered = tuple(sorted(reps, key=lambda c: t.cycles.index(c)))
         w = comp(D2, t.path, reps_ordered)
-        assert trace(D2, w) == t.as_trace()
+        assert trace(D2, w) == as_trace(t)
 
 
 def test_occurrence_conservation_random():
