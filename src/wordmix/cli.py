@@ -43,9 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_alphabet(text: str) -> Alphabet:
     parts = text.split(",") if "," in text else list(text)
-    if any(len(s) != 1 for s in parts):
-        raise ValueError(
-            f"alphabet symbols must be single characters, got {text!r}")
     return Alphabet(tuple(parts))
 
 

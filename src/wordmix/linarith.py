@@ -1,7 +1,8 @@
 """Exact integer-linear feasibility, plus builders for the trace systems.
 
-Everything here is arbitrary-precision integer or Fraction arithmetic; no
-float enters any verdict. The solver stack, cheapest first:
+Everything here is arbitrary-precision integer arithmetic, the simplex
+included (one fraction-free tableau); Fraction only orders its ratio
+test, and no float enters any verdict. The solver stack, cheapest first:
 
   1. row normalization in one pass (slack columns, the shift to z >= 0,
      gcd division, zero-row and divisibility refutations),
@@ -114,74 +115,67 @@ def is_pumping_witness(rows, y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# phase-1 simplex over Fractions
+# phase-1 simplex on one integer tableau
 
 
 def _phase1(rows, rhs):
     """Feasible point of {rows . x = rhs, x >= 0} over the rationals.
 
-    Returns a list of Fractions (one per column) or None. Bland's rule,
-    so termination is unconditional.
+    Returns (num, den) with den > 0 and x[j] = num[j] / den, one numerator
+    per column, or None. Bland's rule, so termination is unconditional.
+
+    The tableau [rows | artificials | rhs] and its objective row (the
+    reduced costs of the artificial sum, then minus that sum) are integers
+    scaled by den, the absolute determinant of the current basis. A pivot
+    on the entry piv takes every other row to (piv*row - f*pivot_row) // den
+    and then sets den = piv (Edmonds; Bareiss): the pivot row already holds
+    its new values scaled by piv, piv > 0 keeps den positive, and every
+    division is exact because each new entry is an integer by Cramer's rule.
     """
     m = len(rows)
     if m == 0:
-        return []
+        return [], 1
     n = len(rows[0])
-    tab = [[Fraction(a) for a in row] for row in rows]
-    d = [Fraction(v) for v in rhs]
-    for r in range(m):
-        if d[r] < 0:
-            tab[r] = [-a for a in tab[r]]
-            d[r] = -d[r]
-    # append one artificial per row
-    for r in range(m):
-        tab[r].extend(Fraction(1) if i == r else Fraction(0) for i in range(m))
-    total = n + m
-    basis = [n + r for r in range(m)]
-
-    def cost(j):
-        return 1 if j >= n else 0
-
+    tab = []
+    for r, (row, b) in enumerate(zip(rows, rhs)):
+        sign = -1 if b < 0 else 1
+        tab.append([sign * a for a in row] + [int(i == r) for i in range(m)]
+                   + [sign * b])
+    objective = [-sum(col) for col in zip(*tab)]
+    objective[n:n + m] = [0] * m
+    tab.append(objective)
+    basis = list(range(n, n + m))
+    den = 1
     while True:
-        # reduced costs for minimizing the artificial sum, recomputed
-        # from the basis each round (cheap at these sizes, cannot drift)
-        art_rows = [r for r in range(m) if basis[r] >= n]
-        zrow = [cost(j) - sum(tab[r][j] for r in art_rows)
-                for j in range(total)]
-        enter = next((j for j in range(total) if zrow[j] < 0), None)
+        enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
         if enter is None:
             break
-        leave = None
-        best = None
-        for r in range(m):
-            a = tab[r][enter]
-            if a > 0:
-                ratio = d[r] / a
-                if best is None or ratio < best or (
-                        ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+        # least ratio rhs/entry, ties to the least basis index
+        leave = min((r for r in range(m) if tab[r][enter] > 0),
+                    key=lambda r: (Fraction(tab[r][-1], tab[r][enter]),
+                                   basis[r]),
+                    default=None)
         if leave is None:
             # the artificial objective is bounded below by 0, so an
             # unbounded improving direction cannot occur
             raise AssertionError("phase-1 objective unbounded")
-        piv = tab[leave][enter]
-        tab[leave] = [a / piv for a in tab[leave]]
-        d[leave] /= piv
-        for r in range(m):
-            if r != leave and tab[r][enter]:
-                f = tab[r][enter]
-                tab[r] = [a - f * p for a, p in zip(tab[r], tab[leave])]
-                d[r] -= f * d[leave]
+        pivot_row = tab[leave]
+        piv = pivot_row[enter]
+        for r, row in enumerate(tab):
+            if r != leave:
+                f = row[enter]
+                tab[r] = [(piv * a - f * p) // den
+                          for a, p in zip(row, pivot_row)]
         basis[leave] = enter
+        den = piv
 
-    if sum(d[r] for r in range(m) if basis[r] >= n) != 0:
+    if tab[m][-1]:
         return None
-    point = [Fraction(0)] * n
-    for r in range(m):
-        if basis[r] < n:
-            point[basis[r]] = d[r]
-    return point
+    num = [0] * n
+    for r, j in enumerate(basis):
+        if j < n:
+            num[j] = tab[r][-1]
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +334,8 @@ def _propagate(rows, rhs, lo, hi):
 def _lp_point(rows, rhs, lo, hi, box_bound):
     """Rational point of the equalities inside the box, or None.
 
-    Box edges equal to the blanket bound are left implicit (z >= 0 covers
+    The point comes as (num, den), x[j] = num[j] / den with den > 0. Box
+    edges equal to the blanket bound are left implicit (z >= 0 covers
     the lower side); tightened edges become explicit slack rows.
     """
     n = len(lo)
@@ -365,7 +360,8 @@ def _lp_point(rows, rhs, lo, hi, box_bound):
     point = _phase1(eq_rows, eq_rhs)
     if point is None:
         return None
-    return point[:n]
+    num, den = point
+    return num[:n], den
 
 
 def _solution_bound(rows, rhs, n):
@@ -404,18 +400,18 @@ def _search_box(rows, rhs, n, cap, allowance):
         point = _lp_point(rows, rhs, lo, hi, cap)
         if point is None:
             continue
-        frac = next((j for j in range(n)
-                     if point[j].denominator != 1), None)
+        num, den = point
+        frac = next((j for j in range(n) if num[j] % den), None)
         if frac is None:
             # the LP rows are exactly the equalities, so an integral
             # point is already a witness; the box only steers the search
-            z = [int(v) for v in point]
+            z = [v // den for v in num]
             _require(all(v >= 0 for v in z)
                      and all(sum(a * v for a, v in zip(row, z)) == b
                              for row, b in zip(rows, rhs)),
                      "integral LP point")
             return "sat", z, nodes
-        split = math.floor(point[frac])
+        split = num[frac] // den
         split = min(max(split, lo[frac]), hi[frac] - 1)
         up_lo = list(lo)
         up_lo[frac] = split + 1
@@ -472,18 +468,17 @@ def _solve_nonneg(x0, kernel, node_budget, system):
                             [-x0[i] for i, _ in keep],
                             2 * d + len(keep))
     width = d + len(keep)
+    rows = []
+    for s, (_, coeffs) in enumerate(keep):
+        row = coeffs + [0] * len(keep)
+        row[d + s] = -1
+        rows.append(row)
     remaining = node_budget
     cap = min(16, 2 * bound)
     while True:
         shift = cap // 2
-        rows = []
-        rhs = []
-        for s, (i, coeffs) in enumerate(keep):
-            row = coeffs + [0] * len(keep)
-            row[d + s] = -1
-            rows.append(row)
-            # slack s equals z_i when t = t' - shift
-            rhs.append(-x0[i] + shift * sum(coeffs))
+        # slack s equals z_i when t = t' - shift
+        rhs = [-x0[i] + shift * sum(coeffs) for i, coeffs in keep]
         final = cap >= 2 * bound
         allowance = remaining if final else min(remaining, _ROUND_NODES)
         status, sol, used = _search_box(rows, rhs, width, cap, allowance)
@@ -555,7 +550,8 @@ def homogeneous_nontrivial(coeffs, n_vars: int) -> Feasibility:
     """Decide ∃ y in N^m, y != 0, with coeffs . y = 0.
 
     Homogeneity lets the rationals answer for the integers: normalize with
-    sum(y) = 1, solve the rational LP, then clear denominators.
+    sum(y) = 1 and solve the rational LP. Its numerators lie on the ray of
+    its point, so dividing them by their gcd gives the primitive witness.
     """
     coeffs = [tuple(row) for row in coeffs]
     if n_vars == 0:
@@ -566,11 +562,9 @@ def homogeneous_nontrivial(coeffs, n_vars: int) -> Feasibility:
     point = _phase1(rows, rhs)
     if point is None:
         return INFEASIBLE
-    scale = math.lcm(*(v.denominator for v in point))
-    y = [int(v * scale) for v in point]
-    g = math.gcd(*(abs(v) for v in y))
-    if g > 1:
-        y = [v // g for v in y]
+    num, _ = point
+    g = math.gcd(*num)
+    y = [v // g for v in num]
     _require(is_pumping_witness(coeffs, y), "homogeneous witness")
     return Feasibility(True, tuple(y))
 

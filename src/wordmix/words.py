@@ -1,6 +1,6 @@
 """Alphabets, words, subword-occurrence counting, and the imbalance measure.
 
-Words are tuples of symbols; symbols are non-empty strings drawn from an
+Words are tuples of symbols; symbols are single characters drawn from an
 explicit ordered alphabet. Everything here is a pure function of immutable
 values, so results are safe to reuse as dict keys and across threads.
 """
@@ -41,8 +41,9 @@ class Alphabet:
             raise ValueError("alphabet needs at least one symbol")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError(f"duplicate symbols in alphabet: {self.symbols!r}")
-        if any(not isinstance(s, str) or not s for s in self.symbols):
-            raise ValueError("alphabet symbols must be non-empty strings")
+        if any(not isinstance(s, str) or len(s) != 1 for s in self.symbols):
+            raise ValueError(
+                f"alphabet symbols must be single characters: {self.symbols!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":

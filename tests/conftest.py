@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: parameter lists from plain strings,
-explicit fixture graphs, a plain-row ILP front end, unordered traces,
-multi-traces and the brute-force walk-trace search."""
+explicit fixture graphs, a plain-row ILP front end, the Fraction simplex
+reference, unordered traces, multi-traces and the brute-force walk-trace
+search."""
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from wordmix import Alphabet, ParamList, word_from_str
 from wordmix.decomp import Vertex, Walk, dec
@@ -61,6 +63,77 @@ def ilp_feasible(coeffs, rhs, lower, strict=None, *,
     shifted = tuple(b + 1 if s else b for b, s in zip(rhs, strict))
     system = LinearSystem(coeffs, rels, shifted, tuple(lower))
     return solve_system(system, node_budget=node_budget)
+
+
+def reference_phase1(rows, rhs):
+    """Feasible point of {rows . x = rhs, x >= 0} over the rationals.
+
+    The library's former Fraction tableau, kept as the reference for the
+    integer one in linarith._phase1: the same Bland pivots, but with the
+    objective row rebuilt from the basis at every pivot.
+
+    Returns a list of Fractions (one per column) or None. Bland's rule,
+    so termination is unconditional.
+    """
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    tab = [[Fraction(a) for a in row] for row in rows]
+    d = [Fraction(v) for v in rhs]
+    for r in range(m):
+        if d[r] < 0:
+            tab[r] = [-a for a in tab[r]]
+            d[r] = -d[r]
+    # append one artificial per row
+    for r in range(m):
+        tab[r].extend(Fraction(1) if i == r else Fraction(0) for i in range(m))
+    total = n + m
+    basis = [n + r for r in range(m)]
+
+    def cost(j):
+        return 1 if j >= n else 0
+
+    while True:
+        # reduced costs for minimizing the artificial sum, recomputed
+        # from the basis each round (cheap at these sizes, cannot drift)
+        art_rows = [r for r in range(m) if basis[r] >= n]
+        zrow = [cost(j) - sum(tab[r][j] for r in art_rows)
+                for j in range(total)]
+        enter = next((j for j in range(total) if zrow[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for r in range(m):
+            a = tab[r][enter]
+            if a > 0:
+                ratio = d[r] / a
+                if best is None or ratio < best or (
+                        ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        if leave is None:
+            # the artificial objective is bounded below by 0, so an
+            # unbounded improving direction cannot occur
+            raise AssertionError("phase-1 objective unbounded")
+        piv = tab[leave][enter]
+        tab[leave] = [a / piv for a in tab[leave]]
+        d[leave] /= piv
+        for r in range(m):
+            if r != leave and tab[r][enter]:
+                f = tab[r][enter]
+                tab[r] = [a - f * p for a, p in zip(tab[r], tab[leave])]
+                d[r] -= f * d[leave]
+        basis[leave] = enter
+
+    if sum(d[r] for r in range(m) if basis[r] >= n) != 0:
+        return None
+    point = [Fraction(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            point[basis[r]] = d[r]
+    return point
 
 
 @dataclass(frozen=True)

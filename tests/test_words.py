@@ -104,6 +104,8 @@ def test_alphabet_validation():
         Alphabet.from_string("")
     with pytest.raises(ValueError):
         Alphabet.from_string("aa")
+    with pytest.raises(ValueError):
+        Alphabet(("ab", "b"))
     a = Alphabet.from_string("ab")
     assert a.index("b") == 1
     with pytest.raises(ValueError):
