@@ -6,11 +6,11 @@ test, and no float enters any verdict. The solver stack, cheapest first:
 
   1. row normalization in one pass (slack columns, the shift to z >= 0,
      gcd division, zero-row and divisibility refutations),
-  2. an integer lattice check ignoring bounds (unimodular column
-     elimination plus forward substitution with divisibility tests),
-  3. one phase-1 rational LP over the whole system: no rational
+  2. one phase-1 rational LP over the whole system: no rational
      solution means no integer one, and most infeasible systems stop
      here,
+  3. an integer lattice check ignoring bounds (unimodular column
+     elimination plus forward substitution with divisibility tests),
   4. interval propagation over the variable boxes,
   5. branch-and-bound on phase-1 LP relaxations of the boxes, complete
      thanks to the classical small-solution bound for integer programs.
@@ -422,11 +422,8 @@ def _search_box(rows, rhs, n, cap, allowance):
     return "unsat", None, nodes
 
 
-def _solve_nonneg(x0, kernel, node_budget, system):
+def _solve_nonneg(x0, kernel, node_budget):
     """Find z >= 0 in the integer lattice x0 + span_Z(kernel), or None.
-
-    system is the (rows, rhs) pair whose integer solutions the lattice
-    parametrizes, for the rational relaxation check below.
 
     The equalities are already absorbed into the lattice, so only sign
     constraints remain: find integer t with x0 + K.t >= 0 componentwise.
@@ -440,28 +437,22 @@ def _solve_nonneg(x0, kernel, node_budget, system):
     completeness bound) can conclude infeasibility. Rounds share the
     node budget; a non-final round that stalls is abandoned early.
 
-    An integer solution is a rational one. So before any round, one
-    rational LP over system decides the relaxation: when it is
-    infeasible, so is the lattice search, which could only have
-    concluded that in its final, widest round. A feasible relaxation
-    leaves the search as it would be without the LP.
+    The caller has found a nonnegative rational solution, and the kernel
+    spans the rational null space, so the rational solutions are
+    x0 + span_Q(kernel): x0 >= 0 if the kernel is empty, and x0[i] >= 0
+    where no kernel vector moves coordinate i, which needs no sign row.
+    Were that false, the search would refute (rightly) or fail the
+    nonnegative-lattice-point check, never return a wrong point.
     """
     if all(v >= 0 for v in x0):
         return list(x0)
     d = len(kernel)
-    if d == 0:
-        return None
     n = len(x0)
     keep = []
     for i in range(n):
         coeffs = [kernel[j][i] for j in range(d)]
-        if all(a == 0 for a in coeffs):
-            if x0[i] < 0:
-                return None
-            continue
-        keep.append((i, coeffs))
-    if _phase1(*system) is None:
-        return None
+        if any(coeffs):
+            keep.append((i, coeffs))
     # bound on |t| for some solution, from the small-solution bound of
     # the sign-split slack form of K.t >= -x0 (variables u, v, s)
     bound = _solution_bound([coeffs for _, coeffs in keep],
@@ -507,6 +498,9 @@ def solve_system(system: LinearSystem, *,
 
     One pass over the rows gives each 'ge' row a slack column, shifts to
     z >= 0, divides by the gcd and refutes a zero or indivisible row.
+    Then one rational LP decides the relaxation (no rational solution,
+    no integer one); only a system that passes gets its integer lattice
+    built, and searched by _solve_nonneg.
     """
     n = system.n_vars
     slacks = system.rels.count("ge")
@@ -534,11 +528,13 @@ def solve_system(system: LinearSystem, *,
         _require(system.satisfied_by(witness), "lower-bound witness")
         return Feasibility(True, witness)
 
+    if _phase1(rows, rhs) is None:
+        return INFEASIBLE
     lattice = _lattice_solve(rows, rhs)
     if lattice is None:
         return INFEASIBLE
 
-    z = _solve_nonneg(*lattice, node_budget, (rows, rhs))
+    z = _solve_nonneg(*lattice, node_budget)
     if z is None:
         return INFEASIBLE
     witness = tuple(zj + lj for zj, lj in zip(z[:n], system.lower[:n]))
