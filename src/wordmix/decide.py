@@ -24,7 +24,6 @@ system is feasible (_Separator).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -128,31 +127,22 @@ def _columns(rows, m: int) -> list[tuple[int, ...]]:
 
 
 def _system_key(system: LinearSystem) -> tuple:
-    """A key that settles whether system has an integer solution, for
-    systems whose lower bounds are all 1, as every trace system's are.
+    """A key that settles whether system has an integer solution: the
+    system over z = x - lower >= 0, that is its relations, b - A.lower,
+    and its sorted distinct nonzero columns.
 
-    Three moves keep the set of feasible systems. (1) Permuting the
-    columns permutes the solutions, since all lower bounds are equal; so
-    the columns are sorted. (2) A column that is zero in every row is
-    free: any value >= 1 meets the rows as well as any other; so it is
-    dropped. (3) r copies of a column c enter every row as s*c, where s
-    is the sum of their r variables, and s takes exactly the values
-    >= r; with y = s - (r-1) >= 1 they act like one copy y*c with the
-    right-hand side lowered by (r-1)*c, in 'eq' and 'ge' rows alike; so
-    repeats are merged that way. Systems with equal keys are therefore
-    feasible together or not at all, and the key itself reads as such a
-    system: its relations, its right-hand side and its columns, each
-    with lower bound 1.
+    Over z >= 0 every lower bound is 0, so permuting the columns permutes
+    the solutions, and the columns are sorted. r >= 1 copies of a column c
+    enter every row as s*c, where s is the sum of their z; s takes every
+    value >= 0, as one copy's z does, so the copies merge into one. A
+    column that is zero in every row meets the rows whatever its z, so it
+    is dropped. Systems with equal keys are therefore feasible together or
+    not at all, and the key itself reads as such a system over z >= 0.
     """
-    if any(lo != 1 for lo in system.lower):
-        raise ValueError("_system_key needs every lower bound to be 1")
-    rhs = list(system.rhs)
-    cols = Counter(_columns(system.coeffs, system.n_vars))
-    for c, r in cols.items():
-        if r > 1:
-            rhs = [b - (r - 1) * a for b, a in zip(rhs, c)]
-    return (system.rels, tuple(rhs),
-            tuple(sorted(c for c in cols if any(c))))
+    rhs = tuple(b - sum(a * lo for a, lo in zip(row, system.lower))
+                for row, b in zip(system.coeffs, system.rhs))
+    cols = _columns(system.coeffs, system.n_vars)
+    return system.rels, rhs, tuple(sorted({c for c in cols if any(c)}))
 
 
 class _Solves:
@@ -173,13 +163,14 @@ class _Solves:
     rows before use: pump-feasible traces whose balance fails come back
     again and again.
 
-    The other two questions depend only on _system_key, which forgets the
-    order of the cycles, drops columns that are zero and merges repeated
-    ones; they share one memo of outcomes. feasible answers from it
-    whenever it can: a feasible held system does not end the decision
-    and comes back on many traces. witness answers a cached refutation at
-    once and otherwise solves in full, since its caller needs the
-    solution, and a feasible system ends the decision that asks for one.
+    The other two questions depend only on _system_key, the system over
+    z = x - lower >= 0 with the order, the repeats and the zeros of its
+    columns forgotten; they share one memo of outcomes. feasible answers
+    from it whenever it can: a feasible held system does not end the
+    decision and comes back on many traces. witness answers a cached
+    refutation at once and otherwise solves in full, since its caller
+    needs the solution, and a feasible system ends the decision that asks
+    for one.
     A solve that runs out of budget is not cached, so a later query with
     the same key tries again, as it would without the memo. Every memo
     holds one entry per distinct system met and lives as long as the
@@ -249,15 +240,15 @@ class _TraceChecker:
         cycles is infeasible, every trace fails its pumping test and M(p)
         is finite, whatever the trace caps would have cut off.
 
-        One column per simple cycle is read: a column sums the suffix
-        indicators over the cycle's vertex set, so every rotation of a
-        simple cycle has the same column, and exactly one rotation is
-        rooted at its least vertex. The set of distinct columns, which is
-        all the LP reads, is therefore that of all rooted cycles.
+        One column per distinct simple-cycle column is passed: a column
+        sums the suffix indicators over the cycle's vertex set, so every
+        rotation of a simple cycle has the same column, and exactly one is
+        rooted at its least vertex. That set, all the LP reads, is
+        therefore the set of columns of all rooted cycles.
         """
-        simple = [c for c in cycles if c[0] == min(c)]
-        rows = pumping_rows([self.table.column(c) for c in simple], self.p.k)
-        self.pruned = self.solves.pumping(rows, len(simple)) is None
+        cols = {self.table.column(c) for c in cycles if c[0] == min(c)}
+        rows = pumping_rows(cols, self.p.k)
+        self.pruned = self.solves.pumping(rows, len(cols)) is None
         return self.pruned
 
     def check(self, T: OrderedTrace) -> FinitenessCertificate | None:

@@ -1,8 +1,8 @@
 """Exact integer-linear feasibility, plus builders for the trace systems.
 
 Everything here is arbitrary-precision integer arithmetic, the simplex
-included (one fraction-free tableau); Fraction only orders its ratio
-test, and no float enters any verdict. The solver stack, cheapest first:
+and its ratio test included (one fraction-free tableau); no Fraction or
+float enters any verdict. The solver stack, cheapest first:
 
   1. row normalization in one pass (slack columns, the shift to z >= 0,
      gcd division, zero-row and divisibility refutations),
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 # build is not called here: it stays for perfbench/tracer.py TARGETS
 from .debruijn import OccTable, build, walk_occ  # noqa: F401
@@ -150,11 +149,19 @@ def _phase1(rows, rhs):
         enter = next((j for j in range(n + m) if tab[m][j] < 0), None)
         if enter is None:
             break
-        # least ratio rhs/entry, ties to the least basis index
-        leave = min((r for r in range(m) if tab[r][enter] > 0),
-                    key=lambda r: (Fraction(tab[r][-1], tab[r][enter]),
-                                   basis[r]),
-                    default=None)
+        # least ratio rhs/entry, ties to the least basis index; every
+        # candidate entry is > 0, so ratios compare by cross-multiplying
+        leave = None
+        for r in range(m):
+            e = tab[r][enter]
+            if e <= 0:
+                continue
+            if leave is None:
+                leave = r
+                continue
+            d = tab[r][-1] * tab[leave][enter] - tab[leave][-1] * e
+            if d < 0 or (d == 0 and basis[r] < basis[leave]):
+                leave = r
         if leave is None:
             # the artificial objective is bounded below by 0, so an
             # unbounded improving direction cannot occur

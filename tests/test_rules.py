@@ -14,15 +14,17 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wordmix.decide
 from wordmix import (BudgetExceededError, LinearSystem, build,
                      build_balance_system, build_pumping_system,
                      decide_finiteness, enumerate_members, enumerate_traces,
                      solve_system)
+from wordmix.debruijn import OccTable
 from wordmix.decide import _Solves, _system_key, _TraceChecker
 from wordmix.linarith import DEFAULT_NODE_BUDGET, homogeneous_nontrivial
+from wordmix.traces import enumerate_cycles
 
 from conftest import plist
 
@@ -71,6 +73,29 @@ def test_n3_lists_settled_by_prune():
         assert (v.verdict, v.pruned, v.cap) == ("finite", True, None), words
 
 
+def test_prune_asks_one_column_per_distinct_cycle_column(monkeypatch):
+    """Rule (a) hands _Solves.pumping one column per distinct occurrence
+    column of the cycles, not one per simple cycle: on a,b,aab at N=3,
+    14 columns for 19 simple cycles."""
+    p = plist("ab", "a", "b", "aab")
+    g = build(p.alphabet, p.max_len)
+    table = OccTable(g, p)
+    cycles = enumerate_cycles(g)
+    distinct = {table.column(c) for c in cycles}
+    assert (len(distinct), sum(c[0] == min(c) for c in cycles)) == (14, 19)
+    asked = []
+    pumping = _Solves.pumping
+
+    def spy(self, rows, m):
+        asked.append(sorted(zip(*rows)) if rows else [()] * m)
+        return pumping(self, rows, m)
+
+    monkeypatch.setattr(_Solves, "pumping", spy)
+    assert decide_finiteness(p).pruned
+    assert asked == [sorted(tuple(c[0] - c[j] for j in range(1, p.k))
+                            for c in distinct)]
+
+
 def test_stream_skips_exactly_the_cycle_free_traces():
     p = plist("ab", "ab", "ba", "a", "b")
     g = build(p.alphabet, 2)
@@ -109,19 +134,42 @@ def test_memo_agrees_with_fresh_checks_on_every_trace():
         assert len(shared.solves._systems) < max(certified, traces // 4)
 
 
-def _system(columns, rels, rhs) -> LinearSystem:
-    """The system with these columns, each with lower bound 1."""
+def _system(columns, rels, rhs, lower=None) -> LinearSystem:
+    """The system with these columns, each with lower bound 1 unless
+    lower says otherwise."""
     coeffs = tuple(zip(*columns)) if columns else ((),) * len(rels)
-    return LinearSystem(coeffs, tuple(rels), tuple(rhs), (1,) * len(columns))
+    lower = (1,) * len(columns) if lower is None else tuple(lower)
+    return LinearSystem(coeffs, tuple(rels), tuple(rhs), lower)
+
+
+def _lower_one_key(system: LinearSystem) -> tuple:
+    """The former _system_key, the reference for the one over z = x - lower:
+    for lower bounds all 1, it sorts the columns, drops the zero ones and
+    merges r copies of a column c into one, lowering the right-hand side
+    by (r-1)*c."""
+    assert all(lo == 1 for lo in system.lower)
+    rhs = list(system.rhs)
+    cols = Counter(zip(*system.coeffs) if system.coeffs
+                   else [()] * system.n_vars)
+    for c, r in cols.items():
+        if r > 1:
+            rhs = [b - (r - 1) * a for b, a in zip(rhs, c)]
+    return (system.rels, tuple(rhs),
+            tuple(sorted(c for c in cols if any(c))))
+
+
+def _weighted(columns, lower, m: int) -> list[int]:
+    """A.lower: the m-row columns summed, each times its lower bound."""
+    return [sum(c[i] * lo for c, lo in zip(columns, lower)) for i in range(m)]
 
 
 @st.composite
-def _same_key_pair(draw):
-    """A system with lower bounds all 1, at least one zero column and one
-    repeated column, and a second system made from it by the moves the
-    key forgets: the columns shuffled, the zero columns recounted, and
-    each nonzero column repeated r' times instead of r, with r' - r times
-    that column added to the right-hand side."""
+def _same_key_pair(draw, bounds=st.integers(0, 2)):
+    """A system with at least one zero column and one repeated column,
+    and a second system made from it by the moves the key forgets: the
+    columns shuffled, the zero columns recounted, each nonzero column
+    repeated r' times instead of r, and new lower bounds drawn, with the
+    right-hand side moved so that b - A.lower stays the same."""
     m = draw(st.integers(1, 3))
     column = st.tuples(*[st.integers(-2, 2)] * m)
     rels = draw(st.lists(st.sampled_from(("eq", "ge")),
@@ -131,31 +179,52 @@ def _same_key_pair(draw):
     columns = [(0,) * m] + [base[0]] + [c for c in base
                                        for _ in range(draw(st.integers(1, 2)))]
     columns = draw(st.permutations(columns))
+    lower = [draw(bounds) for _ in columns]
     other_cols = [(0,) * m] * draw(st.integers(0, 2))
-    other_rhs = list(rhs)
-    for c, r in Counter(columns).items():
-        if not any(c):
-            continue
-        again = draw(st.integers(1, 3))
-        other_cols += [c] * again
-        other_rhs = [b + (again - r) * a for b, a in zip(other_rhs, c)]
+    other_cols += [c for c in sorted(set(columns)) if any(c)
+                   for _ in range(draw(st.integers(1, 3)))]
     other_cols = draw(st.permutations(other_cols))
-    return (_system(columns, rels, rhs),
-            _system(other_cols, rels, other_rhs))
+    other_lower = [draw(bounds) for _ in other_cols]
+    other_rhs = [b - old + new for b, old, new in
+                 zip(rhs, _weighted(columns, lower, m),
+                     _weighted(other_cols, other_lower, m))]
+    return (_system(columns, rels, rhs, lower),
+            _system(other_cols, rels, other_rhs, other_lower))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_same_key_pair())
+@example((_system([(0,), (1,), (1,)], ["eq"], [2]),
+          _system([(1,)], ["eq"], [1])))
 def test_system_key_keeps_feasibility(pair):
     """Systems with one key are feasible together or not at all, and so is
-    the system the key reads as."""
+    the system the key reads as, over z >= 0. The example's key
+    (('eq',), (0,), ((1,),)) is feasible over z >= 0 but would not be read
+    with lower bounds 1."""
     original, other = pair
     key = _system_key(original)
     assert _system_key(other) == key
     rels, rhs, columns = key
     feasible = solve_system(original).feasible
     assert solve_system(other).feasible == feasible
-    assert solve_system(_system(columns, rels, rhs)).feasible == feasible
+    assert solve_system(
+        _system(columns, rels, rhs, [0] * len(columns))).feasible == feasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_same_key_pair(bounds=st.just(1)), min_size=1, max_size=4)
+       .map(lambda pairs: [s for pair in pairs for s in pair]))
+def test_system_key_partitions_lower_one_systems_as_before(systems):
+    """On systems with lower bounds all 1, the key over z = x - lower is
+    the former key with its right-hand side lowered by the sum of its
+    columns, so the two are equal on exactly the same pairs of systems."""
+    for system in systems:
+        rels, rhs, cols = _lower_one_key(system)
+        shifted = tuple(b - sum(c[i] for c in cols) for i, b in enumerate(rhs))
+        assert _system_key(system) == (rels, shifted, cols)
+    pairs = {(_lower_one_key(s), _system_key(s)) for s in systems}
+    assert len(pairs) == len({old for old, _ in pairs}) \
+        == len({new for _, new in pairs})
 
 
 @settings(max_examples=150, deadline=None)
@@ -199,11 +268,6 @@ def test_solves_caches_no_budget_error(monkeypatch, ask):
     assert calls == 2
     assert not ask(solves, infeasible)
     assert calls == 2
-
-
-def test_system_key_needs_lower_bounds_of_one():
-    with pytest.raises(ValueError):
-        _system_key(LinearSystem(((1, 2),), ("eq",), (3,), (1, 0)))
 
 
 def test_decisions_leave_no_cyclic_garbage():
