@@ -233,20 +233,17 @@ class _TraceChecker:
         """Rule (a), the all-cycles pumping prune: True when no trace can
         pump, and so none can carry a certificate.
 
-        Soundness: a trace's cycles are rooted simple cycles of g, so its
-        pumping matrix is a column subset of the one over all of them. A
-        nonzero y >= 0 in the kernel of the subset, padded with zeros, is
-        one of the whole. So if the LP over the distinct columns of all
-        cycles is infeasible, every trace fails its pumping test and M(p)
-        is finite, whatever the trace caps would have cut off.
-
-        One column per distinct simple-cycle column is passed: a column
-        sums the suffix indicators over the cycle's vertex set, so every
-        rotation of a simple cycle has the same column, and exactly one is
-        rooted at its least vertex. That set, all the LP reads, is
-        therefore the set of columns of all rooted cycles.
+        cycles holds every simple cycle of g once. Soundness: each cycle of
+        a trace is one of them, whichever vertex it starts from, and a
+        cycle's column sums the suffix indicators over its vertex set, so
+        every column of a trace's pumping matrix is the column of one of
+        cycles. A nonzero y >= 0 in the kernel of the
+        trace's matrix, summed onto those columns, is one of the LP over
+        the distinct columns of cycles. So if that LP is infeasible, every
+        trace fails its pumping test and M(p) is finite, whatever the trace
+        caps would have cut off.
         """
-        cols = {self.table.column(c) for c in cycles if c[0] == min(c)}
+        cols = {self.table.column(c) for c in cycles}
         rows = pumping_rows(cols, self.p.k)
         self.pruned = self.solves.pumping(rows, len(cols)) is None
         return self.pruned

@@ -16,9 +16,10 @@ decides every further attachment (see _grow), so the search keeps one
 level of states per cycle-set size and grows the next level from it,
 instead of re-attaching every shallower walk for each size.
 
-The rooted cycles both searches draw on come from enumerate_cycles, which
-finds each simple cycle once, from its least vertex, counts its rotations
-against the cycle cap, and builds them only when the count fits.
+enumerate_cycles lists each simple cycle of the graph once, closed at its
+least vertex. The searches draw on rooted cycles instead, in the order of
+_rooted_order: enumerate_traces builds them from that list, and is_trace
+takes them from its caller.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def is_trace(g, items) -> OrderedTrace:
     if len(paths) > 1:
         raise NotATraceError(f"more than one path in the collection: {paths}")
     path = paths[0]
-    cycles = tuple(sorted(cycs, key=lambda c: (len(c), c)))
+    cycles = _rooted_order(cycs)
     # at full depth every state has used all the cycles
     for _, _, seq in _levels(path, len(cycles), cycles):
         return _ordered(g, path, seq, cycles)
@@ -157,23 +158,26 @@ def is_trace(g, items) -> OrderedTrace:
         f"no attachment ordering exists for cycles {list(cycles)} on path {path}")
 
 
-def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
-    """Every rooted simple cycle of g (rotations counted separately),
-    sorted by length then vertex tuple. Raises CapExceededError when
-    there are more than cap of them, before building any.
+def _rooted_order(cycles: Iterable[Walk]) -> tuple[Walk, ...]:
+    """The cycles sorted by length, then vertex tuple: the order in which
+    both searches index them. Two stable sorts give that order without a
+    key tuple per cycle."""
+    return tuple(sorted(sorted(cycles), key=len))
 
-    Each simple cycle is listed once, from its least vertex, and only
-    expanded into its rooted forms once the count is known to fit.
+
+def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
+    """Every simple cycle of g once, as the closed walk from its least
+    vertex, in the order found: by least vertex, then depth first. Raises
+    CapExceededError as soon as g has more than cap rooted cycles.
+
     Soundness: every simple cycle has exactly one least vertex. The
     depth-first search from r that steps only to vertices above r finds
     exactly the simple cycles whose least vertex is r, each once, as the
     vertex sequence that starts at r. A simple cycle of length L has L
-    distinct vertices, and its rooted forms are exactly its L rotations,
-    one per vertex, pairwise distinct. So the rotations of the cycles
-    found are the rooted simple cycles of g, each once; adding L per
-    cycle counts them exactly, and the cap fires exactly when there are
-    more than cap. The final sort makes the output independent of the
-    order of discovery.
+    distinct vertices and so L rooted forms, one per vertex, and no two
+    simple cycles share one. Adding L per cycle found therefore counts
+    the rooted cycles of g exactly, and the cap fires at the first cycle
+    that takes the count past cap.
     """
     # Iterative depth-first search, one successor iterator per vertex on
     # the current simple path; a recursive closure would keep itself, and
@@ -188,7 +192,7 @@ def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
         while stack:
             for nxt in stack[-1]:
                 if nxt == root:
-                    found.append(tuple(cur))
+                    found.append((*cur, root))
                     count += len(cur)
                     if count > cap:
                         raise CapExceededError(f"more than {cap} rooted cycles")
@@ -200,8 +204,7 @@ def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
             else:
                 stack.pop()
                 on_path.remove(cur.pop())
-    out = [(*c[i:], *c[:i], c[i]) for c in found for i in range(len(c))]
-    return tuple(sorted(out, key=lambda c: (len(c), c)))
+    return tuple(found)
 
 
 def enumerate_paths(g) -> Iterator[Walk]:
@@ -240,14 +243,21 @@ def enumerate_traces(g, *,
     trace attaches each cycle at most once.
 
     Traces with fewer than min_cycles cycles are skipped. prune, if
-    given, is called once with every rooted cycle of g after they are
-    enumerated (so a cycle cap still fires here) and before any trace;
-    when it returns True the caller has ruled out every trace, and the
-    stream ends without yielding one.
+    given, is called once with the simple cycles of g, as enumerate_cycles
+    lists them (so a cycle cap still fires here), before any trace; when
+    it returns True the caller has ruled out every trace, and the stream
+    ends without yielding one.
+
+    Otherwise the rooted cycles are built here, every rotation of every
+    simple cycle. A rooted simple cycle is a simple cycle read from one of
+    its vertices, so these are all of them, each once, and the cycle cap
+    bounds their number.
     """
-    cycles = enumerate_cycles(g)
-    if prune is not None and prune(cycles):
+    simple = enumerate_cycles(g)
+    if prune is not None and prune(simple):
         return
+    cycles = _rooted_order((*c[i:-1], *c[:i + 1])
+                           for c in simple for i in range(len(c) - 1))
     emitted = 0
     grown = ((path, _levels(path, min_cycles, cycles))
              for path in enumerate_paths(g))

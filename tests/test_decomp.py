@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordmix import Alphabet, build, comp, dec, walk_occ
+from wordmix import Alphabet, build, comp, dec, enumerate_traces, walk_occ
 from wordmix.decomp import check_walk, is_cycle, is_path
 from wordmix.errors import CompositionUndefinedError, NotAWalkError
 from wordmix.words import add_vectors
@@ -88,6 +88,61 @@ def test_comp_rejects_bad_pieces():
         comp(K4, (1, 5), ())
     with pytest.raises(ValueError):
         comp(K4, (1, 2), ((2, 3),))  # not a cycle
+
+
+def comp_copy_by_copy(g, walk, cycles):
+    """The splice comp replaced: one copy at a time, each at the first
+    occurrence of its root, with every check made per copy."""
+    check_walk(g, walk)
+    cur = walk
+    for cyc in reversed(cycles):
+        check_walk(g, cyc)
+        if not is_cycle(cyc):
+            raise ValueError(f"{cyc} is not a rooted cycle")
+        root = cyc[0]
+        if root not in cur:
+            raise CompositionUndefinedError(
+                f"cycle root {root} does not occur in the walk")
+        i = cur.index(root)
+        prefix = cur[:i + 1]
+        if len(set(prefix)) != len(prefix):
+            raise CompositionUndefinedError(
+                f"no duplicate-free prefix reaches the first occurrence of {root}")
+        cur = prefix + cyc[1:] + cur[i + 1:]
+    return cur
+
+
+def _comp_or_error(fn, g, walk, cycles):
+    try:
+        return fn(g, walk, cycles)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_comp_splices_runs_as_copy_by_copy():
+    """comp splices a run of equal cycles at once; on every D2 trace with
+    random exponents, and on random runs of random rooted cycles (most of
+    them not composable), it gives the copy-by-copy walk or error."""
+    rng = random.Random(17)
+    traces = list(enumerate_traces(D2))
+    rooted = sorted({c for t in traces for c in t.cycles})
+    assert len(rooted) == 14
+    paths = sorted({t.path for t in traces})
+    cases = []
+    for t in traces:
+        runs = [[c] * rng.randint(1, 40) for c in t.cycles]
+        cases.append((t.path, tuple(c for run in runs for c in run)))
+    for _ in range(500):
+        cycles = []
+        for _ in range(rng.randint(1, 5)):
+            cycles.extend([rng.choice(rooted)] * rng.randint(1, 4))
+        cases.append((rng.choice(paths), tuple(cycles)))
+    composed = 0
+    for path, cycles in cases:
+        got = _comp_or_error(comp, D2, path, cycles)
+        assert got == _comp_or_error(comp_copy_by_copy, D2, path, cycles)
+        composed += isinstance(got[0], int)
+    assert len(traces) < composed < len(cases)
 
 
 def _random_walk(rng, g, verts, max_steps):

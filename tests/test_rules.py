@@ -82,7 +82,7 @@ def test_prune_asks_one_column_per_distinct_cycle_column(monkeypatch):
     table = OccTable(g, p)
     cycles = enumerate_cycles(g)
     distinct = {table.column(c) for c in cycles}
-    assert (len(distinct), sum(c[0] == min(c) for c in cycles)) == (14, 19)
+    assert (len(distinct), len(cycles)) == (14, 19)
     asked = []
     pumping = _Solves.pumping
 

@@ -100,14 +100,15 @@ def test_is_trace_single_path():
 
 def test_enumerate_cycles_counts():
     cycles = enumerate_cycles(D2)
-    assert len(cycles) == 14
+    assert len(cycles) == 6
     by_len = Counter(len(c) - 1 for c in cycles)
-    assert by_len == {1: 2, 2: 2, 3: 6, 4: 4}
-    # rotations are distinct
-    assert (1, 2, 1) in cycles and (2, 1, 2) in cycles
+    assert by_len == {1: 2, 2: 1, 3: 2, 4: 1}
+    # one closed walk per simple cycle, from its least vertex: 14 rooted
+    assert sum(by_len[n] * n for n in by_len) == 14
+    assert (1, 2, 1) in cycles and (2, 1, 2) not in cycles
 
     k3 = complete_graph(3, self_loops=False)
-    assert len(enumerate_cycles(k3)) == 12
+    assert len(enumerate_cycles(k3)) == 5
 
     loop = ExplicitGraph((7,), frozenset([(7, 7)]))
     assert enumerate_cycles(loop) == ((7, 7),)
@@ -322,7 +323,7 @@ def reference_traces(g, *,
                      max_traces: int = DEFAULT_MAX_TRACES,
                      max_cycles: int = DEFAULT_MAX_CYCLES,
                      min_cycles: int = 0) -> Iterator[OrderedTrace]:
-    cycles = enumerate_cycles(g, cap=max_cycles)
+    cycles = reference_cycles(g, cap=max_cycles)
     emitted = 0
     size = min_cycles
     while True:
@@ -388,7 +389,7 @@ def test_is_trace_matches_walk_search():
     collections it refuses: every D2 trace with its items shuffled, plus
     random path and cycle-set pairs, most of them invalid."""
     rng = random.Random(5)
-    cycles = enumerate_cycles(D2)
+    cycles = reference_cycles(D2)
     paths = list(enumerate_paths(D2))
     cases = [(t.path, list(t.cycles)) for t in reference_traces(D2)]
     cases += [(rng.choice(paths), rng.sample(cycles, rng.randint(1, 5)))
@@ -413,11 +414,11 @@ def test_is_trace_matches_walk_search():
 
 
 # ---------------------------------------------------------------------------
-# Reference: the cycle listing that enumerate_cycles replaced. It runs a
-# depth-first search from every root, so each simple cycle of length L is
+# Reference: the rooted-cycle listing that enumerate_cycles replaced. It runs
+# a depth-first search from every root, so each simple cycle of length L is
 # walked L times, once per rotation, and every rotation is built before the
-# cap is checked; the library's least-vertex search must reproduce its
-# output and its cap exactly.
+# cap is checked. The library lists each simple cycle once, from its least
+# vertex; its simple cycles, their rotations and its cap must match this.
 
 
 def reference_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
@@ -457,17 +458,41 @@ def _cycles_or_cap(enumerate_fn, g, cap):
         return str(e)
 
 
+def _rotations(c: Walk) -> list[Walk]:
+    """The rooted forms of the closed walk c, one per vertex."""
+    return [c[i:-1] + c[:i + 1] for i in range(len(c) - 1)]
+
+
 def _assert_cycles_match(g):
-    """Equal output, and with c rooted cycles, cap=c returns it while
-    cap=c-1 raises the same message on both sides."""
+    """The library lists the reference's cycles rooted at their least
+    vertex, whose rotations are the reference's rooted cycles; and with c
+    rooted cycles, cap=c returns the list while cap=c-1 raises the same
+    message on both sides."""
     want = reference_cycles(g)
-    assert enumerate_cycles(g) == want
+    got = enumerate_cycles(g)
+    assert sorted(got) == [c for c in sorted(want) if c[0] == min(c)]
+    assert sorted(r for c in got for r in _rotations(c)) == sorted(want)
     c = len(want)
-    assert enumerate_cycles(g, cap=c) == want
-    got = _cycles_or_cap(enumerate_cycles, g, c - 1)
-    assert got == _cycles_or_cap(reference_cycles, g, c - 1)
+    assert enumerate_cycles(g, cap=c) == got
+    capped = _cycles_or_cap(enumerate_cycles, g, c - 1)
+    assert capped == _cycles_or_cap(reference_cycles, g, c - 1)
     if c:
-        assert got == f"more than {c - 1} rooted cycles"
+        assert capped == f"more than {c - 1} rooted cycles"
+
+
+def test_prune_receives_the_simple_cycles():
+    """prune is handed each simple cycle of D2 once (6), not its 14 rooted
+    cycles, and a prune that refutes ends the stream before any trace."""
+    seen = []
+
+    def prune(cycles):
+        seen.append(cycles)
+        return True
+
+    assert list(enumerate_traces(D2, prune=prune)) == []
+    assert seen == [enumerate_cycles(D2)]
+    assert sorted(seen[0]) == [(0, 0), (0, 1, 2, 0), (0, 1, 3, 2, 0),
+                               (1, 2, 1), (1, 3, 2, 1), (3, 3)]
 
 
 CYCLE_GRAPHS = {
