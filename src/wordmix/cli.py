@@ -99,7 +99,9 @@ def _build_parser() -> _Parser:
                     "cycles pumps; otherwise streams the traces with "
                     "cycles of the de Bruijn graph and early-exits on the "
                     "first one whose balance and pumping systems are both "
-                    "feasible.")
+                    "feasible. Past the cycle guard it streams only traces "
+                    "over short cycles, which can prove infinite but never "
+                    "finite.")
     finite.add_argument("--alphabet", required=True)
     finite.add_argument("words", help="comma-separated parameter words")
     finite.add_argument("--json", action="store_true")

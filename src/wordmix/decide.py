@@ -20,13 +20,23 @@ cycle-free traces are not streamed (decide_finiteness). Both decisions:
 that forget the order of the cycles. Equivalence: (d) a trace's branches
 holding one list's balance system are built and solved only when that
 system is feasible (_Separator).
+
+Past the cycle guard finiteness does not give up at once
+(_past_the_guard). Rule (a') asks rule (a)'s question on the pattern
+automaton of the list, which needs no cycle list, and can answer Finite
+(_TraceChecker.refutes_all_on_automaton). Otherwise a ladder of trace
+streams over the short cycles alone can answer Infinite with an ordinary
+certificate. Equivalence still answers Unknown there.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
+from . import traces
+from .automaton import pattern_automaton
 from .debruijn import (DEFAULT_MAX_VERTICES, DeBruijnGraph, OccTable, build,
                        word_of_walk)
 from .decomp import comp
@@ -37,7 +47,8 @@ from .linarith import (DEFAULT_NODE_BUDGET, LinearSystem,
                        build_pumping_system, homogeneous_nontrivial,
                        is_pumping_witness, pumping_rows, solve_system)
 from .traces import DEFAULT_MAX_TRACES, OrderedTrace, enumerate_traces
-from .words import ParamList, Word, is_member, word_to_str
+from .words import (ParamList, Word, is_member, suffix_indicator,
+                    word_to_str)
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,7 @@ class FinitenessVerdict:
     certificate: FinitenessCertificate | None
     traces_checked: int  # traces with at least one cycle that were checked
     cap: str | None = None
-    pruned: bool = False  # finite by rule (a), before any trace
+    pruned: bool = False  # finite by rule (a) or (a'), before any trace
 
     @property
     def reason(self) -> str:
@@ -227,7 +238,6 @@ class _TraceChecker:
         self.p = p
         self.table = OccTable(g, p)
         self.solves = _Solves(node_budget)
-        self.pruned = False
 
     def refutes_all(self, cycles) -> bool:
         """Rule (a), the all-cycles pumping prune: True when no trace can
@@ -245,8 +255,42 @@ class _TraceChecker:
         """
         cols = {self.table.column(c) for c in cycles}
         rows = pumping_rows(cols, self.p.k)
-        self.pruned = self.solves.pumping(rows, len(cols)) is None
-        return self.pruned
+        return self.solves.pumping(rows, len(cols)) is None
+
+    def refutes_all_on_automaton(self) -> bool:
+        """Rule (a'), rule (a) without the cycle list: True when no nonzero
+        circulation f >= 0 on the pattern automaton A of p is balanced,
+        that is has sum_e f_e * (ind_0 - ind_j)(target of e) = 0 for every
+        j, ind being the suffix indicator. A has at most 1 + sum |w| states
+        and |alphabet| edges out of each, so the LP stays small where the
+        cycles of the graph are past counting.
+
+        Why (a') is exactly rule (a), on the graph D^N with N = p.max_len.
+        Map each vertex v of D^N to the state A reaches on reading v from
+        the empty word. A state has at most N letters, so the state after
+        a text of length >= N depends on its last N letters alone. An edge
+        of D^N from v reading a therefore goes to the edge of A from v's
+        state reading a, and its target keeps its suffix indicator (see
+        automaton). A cycle of D^N maps to a closed walk of A with the same
+        occurrence column, and a nonzero balanced combination of cycle
+        columns to a nonzero balanced circulation. So if (a') refutes, so
+        does (a), and M(p) is finite.
+
+        Conversely a circulation is a sum of cycles of A. Say one of them
+        reads u from state s. The state after s.u^m is s for every m; with
+        m|u| >= N the D^N walk that reads u from the last N letters of
+        u^m is closed, its vertices map onto the cycle's states, and it
+        splits into simple cycles whose columns sum to the cycle's. So a
+        nonzero balanced circulation gives a nonzero balanced combination
+        of cycle columns, the two LPs are feasible together, and (a')
+        refutes exactly when (a) does.
+        """
+        states, edges = pattern_automaton(self.p)
+        flow = [tuple((t == v) - (s == v) for s, t in edges)
+                for v in range(len(states))]
+        cols = [suffix_indicator(states[t], self.p) for _, t in edges]
+        rows = (*flow, *pumping_rows(cols, self.p.k))
+        return self.solves.pumping(rows, len(edges)) is None
 
     def check(self, T: OrderedTrace) -> FinitenessCertificate | None:
         """Certificate for T if it satisfies both conditions, else None.
@@ -272,7 +316,7 @@ class _TraceChecker:
 OnTrace = Callable[[OrderedTrace], None]
 
 
-def _stream(traces: Iterator[OrderedTrace],
+def _stream(stream: Iterator[OrderedTrace],
             check: Callable[[OrderedTrace], object | None],
             on_trace: OnTrace | None
             ) -> tuple[object | None, int, str | None]:
@@ -289,7 +333,7 @@ def _stream(traces: Iterator[OrderedTrace],
     checked = 0
     cap = None
     try:
-        for T in traces:
+        for T in stream:
             checked += 1
             if on_trace is not None:
                 on_trace(T)
@@ -307,30 +351,84 @@ def _stream(traces: Iterator[OrderedTrace],
 
 def decide_finiteness(p: ParamList, caps: Caps = DEFAULT_CAPS, *,
                       on_trace: OnTrace | None = None) -> FinitenessVerdict:
-    """Infinite with a certificate; Finite when rule (a) refutes every
-    trace at once or the stream is exhausted; or Unknown when a cap or
-    budget interfered.
+    """Infinite with a certificate; Finite when rule (a) or (a') refutes
+    every trace at once or the stream is exhausted; or Unknown when a cap
+    or budget interfered.
 
     Rule (b): the stream starts at cycle-set size 1. A cycle-free trace
     realises a single word, so _TraceChecker.check refuses it, and
     skipping it loses no certificate. traces_checked therefore counts
     traces with cycles only. on_trace, if given, is called with every
-    trace checked, in order, before it is checked.
+    trace checked, in order, before it is checked. Past the cycle guard
+    the decision goes on in _past_the_guard.
     """
     try:
         g = build(p.alphabet, p.max_len)
     except DimensionCapError as e:
         return FinitenessVerdict("unknown", None, 0, cap=str(e))
     checker = _TraceChecker(g, p, caps.node_budget)
-    traces = enumerate_traces(g, max_traces=caps.max_traces, min_cycles=1,
-                              prune=checker.refutes_all)
-    cert, checked, cap = _stream(traces, checker.check, on_trace)
+    try:
+        # looked up on the module, so that a wrapper installed there (as
+        # perfbench's tracer installs one) sees every call
+        cycles = traces.enumerate_cycles(g)
+    except CapExceededError as e:
+        return _past_the_guard(g, checker, caps, on_trace, str(e))
+    if checker.refutes_all(cycles):
+        return FinitenessVerdict("finite", None, 0, pruned=True)
+    stream = enumerate_traces(g, cycles=cycles, max_traces=caps.max_traces,
+                              min_cycles=1)
+    cert, checked, cap = _stream(stream, checker.check, on_trace)
     if cert is not None:
         return FinitenessVerdict("infinite", cert, checked)
     if cap is not None:
         return FinitenessVerdict("unknown", None, checked, cap=cap)
-    # rule (a) ends the stream before its first trace, so no cap fired
-    return FinitenessVerdict("finite", None, checked, pruned=checker.pruned)
+    return FinitenessVerdict("finite", None, checked)
+
+
+def _past_the_guard(g: DeBruijnGraph, checker: _TraceChecker, caps: Caps,
+                    on_trace: OnTrace | None, guard: str
+                    ) -> FinitenessVerdict:
+    """Finiteness once g has more rooted cycles than the cycle guard
+    allows: finite by rule (a'), infinite by a trace over short cycles,
+    or else Unknown with the guard's message.
+
+    Rule (a') reads no cycle, so it runs first. Then the short-cycle
+    ladder: rung L streams the traces of g drawn from its simple cycles of
+    length <= L, for L = 1, 2, ..., and stops at the first rung whose
+    cycles hit the guard themselves. Every trace over a subset of g's
+    cycles is a trace of g, so a certificate found on any rung is an
+    ordinary one. No rung sees every trace of g, so running out of rungs
+    or of budget proves nothing.
+
+    Rung L checks at most 4^L traces, and never more than the budget
+    still left, so the rungs together check at most caps.max_traces. The
+    first traces of a rung are its short paths with few short cycles,
+    where the short certificates lie, and a share that grows with L keeps
+    a large budget from being spent on rung 1, whose traces run over the
+    same few loops on ever longer paths. The rungs share the
+    checker, so what one rung solved the next finds in the memo.
+    traces_checked counts the traces of every rung; a rung streams the
+    first traces of the rungs below again, so a trace may count once per
+    rung that checked it.
+    """
+    if checker.refutes_all_on_automaton():
+        return FinitenessVerdict("finite", None, 0, pruned=True)
+    checked = 0
+    length = 0
+    while checked < caps.max_traces:
+        length += 1
+        try:
+            cycles = traces.enumerate_cycles(g, max_length=length)
+        except CapExceededError:
+            break
+        # cut short with islice: a rung's end is no cap of the decision's
+        stream = islice(enumerate_traces(g, cycles=cycles, min_cycles=1),
+                        min(4 ** length, caps.max_traces - checked))
+        cert, n, _ = _stream(stream, checker.check, on_trace)
+        checked += n
+        if cert is not None:
+            return FinitenessVerdict("infinite", cert, checked)
+    return FinitenessVerdict("unknown", None, checked, cap=guard)
 
 
 def realize_walk(T: OrderedTrace, exponents):
@@ -462,8 +560,8 @@ def decide_equivalence(p1: ParamList, p2: ParamList,
         return EquivalenceVerdict("unknown", None, None, 0, cap=str(e))
 
     separator = _Separator(g, p1, p2, caps.node_budget)
-    traces = enumerate_traces(g, max_traces=caps.max_traces)
-    found, checked, cap = _stream(traces, separator.check, on_trace)
+    stream = enumerate_traces(g, max_traces=caps.max_traces)
+    found, checked, cap = _stream(stream, separator.check, on_trace)
     if found is not None:
         return EquivalenceVerdict("not_equal", *found, checked)
     if cap is not None:

@@ -25,7 +25,7 @@ takes them from its caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .decomp import Walk, check_walk, is_cycle, is_path
 from .errors import CapExceededError, NotATraceError
@@ -165,10 +165,13 @@ def _rooted_order(cycles: Iterable[Walk]) -> tuple[Walk, ...]:
     return tuple(sorted(sorted(cycles), key=len))
 
 
-def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
+def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES, *,
+                     max_length: int | None = None) -> tuple[Walk, ...]:
     """Every simple cycle of g once, as the closed walk from its least
     vertex, in the order found: by least vertex, then depth first. Raises
-    CapExceededError as soon as g has more than cap rooted cycles.
+    CapExceededError as soon as g has more than cap rooted cycles. With
+    max_length, only the cycles of at most that many edges are listed,
+    and only their rooted cycles count against cap.
 
     Soundness: every simple cycle has exactly one least vertex. The
     depth-first search from r that steps only to vertices above r finds
@@ -177,12 +180,18 @@ def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
     distinct vertices and so L rooted forms, one per vertex, and no two
     simple cycles share one. Adding L per cycle found therefore counts
     the rooted cycles of g exactly, and the cap fires at the first cycle
-    that takes the count past cap.
+    that takes the count past cap. The search never extends a path of
+    max_length vertices: every cycle through it has more edges than that.
+    A simple cycle has at most one edge per vertex of g, so without
+    max_length the bound cuts nothing.
     """
+    if max_length is not None and max_length < 1:
+        raise ValueError("a cycle has at least one edge")
     # Iterative depth-first search, one successor iterator per vertex on
     # the current simple path; a recursive closure would keep itself, and
     # with it every cycle found, alive until a full GC.
     succ = {v: g.successors(v) for v in g.vertices()}
+    bound = len(succ) if max_length is None else max_length
     found: list[Walk] = []
     count = 0
     for root in sorted(g.vertices()):
@@ -196,7 +205,7 @@ def enumerate_cycles(g, cap: int = DEFAULT_MAX_CYCLES) -> tuple[Walk, ...]:
                     count += len(cur)
                     if count > cap:
                         raise CapExceededError(f"more than {cap} rooted cycles")
-                elif nxt > root and nxt not in on_path:
+                elif nxt > root and nxt not in on_path and len(cur) < bound:
                     cur.append(nxt)
                     on_path.add(nxt)
                     stack.append(iter(succ[nxt]))
@@ -222,10 +231,9 @@ def enumerate_paths(g) -> Iterator[Walk]:
 
 
 def enumerate_traces(g, *,
+                     cycles: tuple[Walk, ...] | None = None,
                      max_traces: int = DEFAULT_MAX_TRACES,
-                     min_cycles: int = 0,
-                     prune: Callable[[tuple[Walk, ...]], bool] | None = None
-                     ) -> Iterator[OrderedTrace]:
+                     min_cycles: int = 0) -> Iterator[OrderedTrace]:
     """Every valid trace of g exactly once, as a composable OrderedTrace.
 
     Deterministic order: cycle-set size ascending, then path (shortest
@@ -242,24 +250,23 @@ def enumerate_traces(g, *,
     size no path reaches ends the stream, and one always exists, since a
     trace attaches each cycle at most once.
 
-    Traces with fewer than min_cycles cycles are skipped. prune, if
-    given, is called once with the simple cycles of g, as enumerate_cycles
-    lists them (so a cycle cap still fires here), before any trace; when
-    it returns True the caller has ruled out every trace, and the stream
-    ends without yielding one.
+    Traces with fewer than min_cycles cycles are skipped. cycles, if
+    given, are simple cycles of g as enumerate_cycles lists them, and the
+    stream holds the traces of g whose cycles are rotations of those.
+    Without cycles, enumerate_cycles lists them all here, and the cycle
+    cap fires here.
 
-    Otherwise the rooted cycles are built here, every rotation of every
-    simple cycle. A rooted simple cycle is a simple cycle read from one of
-    its vertices, so these are all of them, each once, and the cycle cap
-    bounds their number.
+    The rooted cycles are built here, every rotation of every simple
+    cycle in cycles. A rooted simple cycle is a simple cycle read from
+    one of its vertices, so these are all the rooted forms of cycles,
+    each once, and the cycle cap bounds their number.
     """
-    simple = enumerate_cycles(g)
-    if prune is not None and prune(simple):
-        return
-    cycles = _rooted_order((*c[i:-1], *c[:i + 1])
-                           for c in simple for i in range(len(c) - 1))
+    if cycles is None:
+        cycles = enumerate_cycles(g)
+    rooted = _rooted_order((*c[i:-1], *c[:i + 1])
+                           for c in cycles for i in range(len(c) - 1))
     emitted = 0
-    grown = ((path, _levels(path, min_cycles, cycles))
+    grown = ((path, _levels(path, min_cycles, rooted))
              for path in enumerate_paths(g))
     while True:
         kept: list[tuple[Walk, list[_State]]] = []
@@ -274,9 +281,9 @@ def enumerate_traces(g, *,
                 emitted += 1
                 if emitted > max_traces:
                     raise CapExceededError(f"more than {max_traces} traces")
-                yield _ordered(g, path, state[2], cycles)
+                yield _ordered(g, path, state[2], rooted)
             if level:
                 kept.append((path, level))
         if not kept:
             return
-        grown = ((path, _grow(level, cycles)) for path, level in kept)
+        grown = ((path, _grow(level, rooted)) for path, level in kept)

@@ -75,6 +75,23 @@ def test_finite_dump_systems(capsys):
             entry["trace"]["cycles"])
 
 
+def test_finite_past_the_cycle_guard(capsys):
+    """aaaaa,bbbbb is past the cycle guard; a trace over its short cycles
+    certifies it, and the certificate passes the counting check."""
+    code = run(["finite", "--alphabet", "ab", "--json", "aaaaa,bbbbb"])
+    out, _ = _lines(capsys)
+    assert code == 0
+    payload = json.loads(out[0])
+    assert payload["verdict"] == "infinite"
+    assert payload["certificate"]["trace"] == {
+        "path": ["ababa"], "cycles": [["ababa", "babab", "ababa"]]}
+    assert payload["stats"]["pruned"] is False
+    code = run(["finite", "--alphabet", "ab", "a,b,aaaaa",
+                "--max-traces", "700"])
+    out, _ = _lines(capsys)
+    assert (code, out) == (2, ["unknown (more than 100000 rooted cycles)"])
+
+
 def test_finite_pruned_names_the_prune(capsys):
     code = run(["finite", "--alphabet", "ab", "aa,ab,b,a,b"])
     out, _ = _lines(capsys)

@@ -7,6 +7,7 @@ import wordmix.decide
 from wordmix import (
     Alphabet,
     BudgetExceededError,
+    CapExceededError,
     Caps,
     FinitenessCertificate,
     LinearSystem,
@@ -23,11 +24,12 @@ from wordmix import (
     witness_family,
     word_to_str,
 )
+from wordmix.cli import _validate_finiteness_certificate
 from wordmix.debruijn import OccTable, word_of_walk
 from wordmix.decide import _Separator, _TraceChecker, realize_walk
 from wordmix.errors import WitnessError
 from wordmix.linarith import DEFAULT_NODE_BUDGET
-from wordmix.traces import OrderedTrace
+from wordmix.traces import OrderedTrace, enumerate_cycles
 from wordmix.words import Word
 
 from conftest import plist
@@ -139,16 +141,53 @@ def test_dimension_cap_propagates():
 
 
 @pytest.mark.parametrize("decide", [
-    lambda: decide_finiteness(plist("ab", "aaaaa", "bbbbb")),
-    lambda: decide_finiteness(plist("abc", "aa", "bb", "cc", "abc")),
     # D^2 over four letters: 16 vertices, past the cycle guard
     lambda: decide_equivalence(plist("abcd", "ab", "cd"),
                                plist("abcd", "cd", "ab", "ba")),
-], ids=["ab5", "abc-aa-bb-cc-abc", "equiv-abcd2"])
+], ids=["equiv-abcd2"])
 def test_cycle_guard_gives_unknown_before_any_trace(decide):
     v = decide()
     assert (v.verdict, v.cap, v.traces_checked) == (
         "unknown", "more than 100000 rooted cycles", 0)
+
+
+@pytest.mark.parametrize("p", [
+    plist("ab", "aaaaa", "bbbbb"),
+    plist("abc", "aa", "bb", "cc", "abc"),
+], ids=["ab5", "abc-aa-bb-cc-abc"])
+def test_short_cycles_prove_infinite_past_the_cycle_guard(p):
+    """Both graphs are past the cycle guard, and a trace over their
+    cycles of length <= 2 certifies: an ordinary certificate, which the
+    command line's counting check accepts, and whose pumped words are
+    members that grow."""
+    g = build(p.alphabet, p.max_len)
+    with pytest.raises(CapExceededError):
+        enumerate_cycles(g)
+    v = decide_finiteness(p)
+    assert (v.verdict, v.cap, v.pruned) == ("infinite", None, False)
+    # rung 1 spends its 4^1 traces on the loops, rung 2 certifies at its
+    # second trace, whatever the trace cap
+    assert v.traces_checked == 6
+    assert max(len(c) - 1 for c in v.certificate.trace.cycles) <= 2
+    assert v.certificate.trace.graph.dim == p.max_len
+    _validate_finiteness_certificate(v.certificate, p)
+    words = [witness_family(v.certificate, p, n) for n in (1, 2, 3)]
+    assert all(is_member(w, p) for w in words)
+    assert len(words[0]) < len(words[1]) < len(words[2])
+
+
+def test_short_cycle_ladder_runs_out_within_the_trace_cap():
+    """a,b,aaaaa: rule (a') does not refute it and no trace the ladder
+    reaches under 700 certifies, so it stays unknown with the guard's
+    message, after at most 700 traces over all rungs."""
+    p = plist("ab", "a", "b", "aaaaa")
+    v = decide_finiteness(p, Caps(max_traces=700))
+    assert (v.verdict, v.certificate, v.cap) == (
+        "unknown", None, "more than 100000 rooted cycles")
+    assert 0 < v.traces_checked <= 700
+    seen = []
+    v = decide_finiteness(p, Caps(max_traces=50), on_trace=seen.append)
+    assert (v.verdict, v.traces_checked, len(seen)) == ("unknown", 50, 50)
 
 
 def test_equivalence_short_separator_past_the_vertex_guard():

@@ -46,7 +46,7 @@ def _run(capsys, command: str) -> str:
 
 
 def test_every_section_has_examples():
-    assert len(COMMAND_LINE) == 8
+    assert len(COMMAND_LINE) == 9
     assert len(JSON_OUTPUT) == 1
 
 

@@ -1,12 +1,14 @@
 """The per-decision rules, checked against independent references: for
-finiteness (a) the all-cycles pumping prune and (b) skipping cycle-free
-traces; for both decisions (c) the one per-decision solve memo, _Solves,
-and the system key it answers on; plus the witness checks that must
-survive python -O and the absence of cyclic garbage per decision."""
+finiteness (a) the all-cycles pumping prune, its form (a') on the pattern
+automaton and (b) skipping cycle-free traces; for both decisions (c) the
+one per-decision solve memo, _Solves, and the system key it answers on;
+plus the witness checks that must survive python -O and the absence of
+cyclic garbage per decision."""
 
 import gc
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -17,10 +19,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import wordmix.decide
-from wordmix import (BudgetExceededError, LinearSystem, build,
-                     build_balance_system, build_pumping_system,
-                     decide_finiteness, enumerate_members, enumerate_traces,
-                     solve_system)
+from wordmix import (BudgetExceededError, CapExceededError, Caps,
+                     LinearSystem, build, build_balance_system,
+                     build_pumping_system, decide_finiteness,
+                     enumerate_members, enumerate_traces, solve_system)
+from wordmix.cli import _validate_finiteness_certificate
 from wordmix.debruijn import OccTable
 from wordmix.decide import _Solves, _system_key, _TraceChecker
 from wordmix.linarith import DEFAULT_NODE_BUDGET, homogeneous_nontrivial
@@ -94,6 +97,53 @@ def test_prune_asks_one_column_per_distinct_cycle_column(monkeypatch):
     assert decide_finiteness(p).pruned
     assert asked == [sorted(tuple(c[0] - c[j] for j in range(1, p.k))
                             for c in distinct)]
+
+
+def _random_lists(seed: int, alphabet: str, max_len: int, count: int):
+    """count seeded lists of 2-6 words over alphabet, with at least one
+    word of length max_len and the others of length 1..max_len."""
+    rng = random.Random(seed)
+    lists = []
+    for _ in range(count):
+        words = ["".join(rng.choice(alphabet) for _ in range(n))
+                 for n in [max_len] + [rng.randint(1, max_len)
+                                       for _ in range(rng.randint(1, 5))]]
+        lists.append(plist(alphabet, *rng.sample(words, len(words))))
+    return lists
+
+
+def test_rule_a_prime_refutes_exactly_when_rule_a_does():
+    """Rule (a') on the pattern automaton against rule (a) on the cycles
+    of D^N, on 400 seeded lists: binary N = 1..4 and ternary N = 1..2."""
+    lists = [p for n in range(1, 5) for p in _random_lists(n, "ab", n, 60)]
+    lists += [p for n in (1, 2) for p in _random_lists(10 + n, "abc", n, 80)]
+    refuted = 0
+    for p in lists:
+        g = build(p.alphabet, p.max_len)
+        checker = _TraceChecker(g, p, DEFAULT_NODE_BUDGET)
+        a = checker.refutes_all(enumerate_cycles(g))
+        assert checker.refutes_all_on_automaton() == a, p.words
+        refuted += a
+    assert len(lists) == 400
+    assert 20 < refuted < 380
+
+
+def test_rule_a_prime_finite_past_the_guard_agrees_with_oracle():
+    """Seeded binary N = 5 lists, all past the cycle guard: those that
+    rule (a') proves finite carry no trace and have no long member up to
+    length 12; the others' certificates pass the counting check."""
+    finite = 0
+    for p in _random_lists(5, "ab", 5, 30):
+        with pytest.raises(CapExceededError):
+            enumerate_cycles(build(p.alphabet, 5))
+        v = decide_finiteness(p, Caps(max_traces=700))
+        if v.verdict == "finite":
+            finite += 1
+            assert (v.pruned, v.traces_checked) == (True, 0), p.words
+            assert _oracle_finite(p), p.words
+        elif v.verdict == "infinite":
+            _validate_finiteness_certificate(v.certificate, p)
+    assert finite >= 3
 
 
 def test_stream_skips_exactly_the_cycle_free_traces():
@@ -289,6 +339,10 @@ def test_decisions_leave_no_cyclic_garbage():
             grown = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
+        assert gc.collect() == 0
+        # past the cycle guard: rule (a'), then rungs of streams cut short
+        for _ in range(3):
+            decide_finiteness(plist("ab", "aaaaa", "bbbbb"))
         assert gc.collect() == 0
     finally:
         if was_enabled:

@@ -480,19 +480,41 @@ def _assert_cycles_match(g):
         assert capped == f"more than {c - 1} rooted cycles"
 
 
-def test_prune_receives_the_simple_cycles():
-    """prune is handed each simple cycle of D2 once (6), not its 14 rooted
-    cycles, and a prune that refutes ends the stream before any trace."""
-    seen = []
+def test_given_cycles_are_the_cycles_streamed():
+    """enumerate_traces on the cycles enumerate_cycles lists streams what
+    it streams on its own, and on a subset of them it streams exactly the
+    traces of g whose cycles are rotations of that subset."""
+    simple = enumerate_cycles(D2)
+    every = list(enumerate_traces(D2))
+    assert list(enumerate_traces(D2, cycles=simple)) == every
+    short = enumerate_cycles(D2, max_length=2)
+    assert sorted(short) == [(0, 0), (1, 2, 1), (3, 3)]
+    rooted = {r for c in short for r in _rotations(c)}
+    want = [T for T in every if set(T.cycles) <= rooted]
+    assert list(enumerate_traces(D2, cycles=short)) == want
+    assert 0 < sum(1 for T in want if T.cycles) < len(want) < len(every)
 
-    def prune(cycles):
-        seen.append(cycles)
-        return True
 
-    assert list(enumerate_traces(D2, prune=prune)) == []
-    assert seen == [enumerate_cycles(D2)]
-    assert sorted(seen[0]) == [(0, 0), (0, 1, 2, 0), (0, 1, 3, 2, 0),
-                               (1, 2, 1), (1, 3, 2, 1), (3, 3)]
+@pytest.mark.parametrize("g", [D2, D3, complete_graph(3)],
+                         ids=["d2", "d3", "k3"])
+def test_cycle_length_bound_matches_the_reference(g):
+    """With max_length = L the listing is the reference's cycles of at
+    most L edges, rooted at their least vertex; with c rooted cycles among
+    them, cap = c returns the listing and cap = c - 1 fires with the
+    reference's message. Every L from 1 to the vertex count is tried."""
+    every = reference_cycles(g)
+    for bound in range(1, len(g.vertices()) + 1):
+        want = [c for c in every if len(c) - 1 <= bound]
+        got = enumerate_cycles(g, max_length=bound)
+        assert sorted(got) == [c for c in sorted(want) if c[0] == min(c)]
+        c = len(want)
+        assert enumerate_cycles(g, cap=c, max_length=bound) == got
+        with pytest.raises(CapExceededError) as e:
+            enumerate_cycles(g, cap=c - 1, max_length=bound)
+        assert str(e.value) == f"more than {c - 1} rooted cycles"
+    assert got == enumerate_cycles(g)
+    with pytest.raises(ValueError):
+        enumerate_cycles(g, max_length=0)
 
 
 CYCLE_GRAPHS = {
