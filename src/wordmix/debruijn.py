@@ -137,7 +137,9 @@ class OccTable:
     cached on first use, one column per cycle and one constant per path.
     column(w) equals walk_occ(g, w, params) and const(path) equals
     occ(start word) + walk_occ(g, path, params), so every trace sharing a
-    cycle or a path reuses its sum. Walks are taken as given (traces come
+    cycle or a path reuses its sum. pumping_column(w) is column(w) as a
+    column of the pumping rows, component 0 minus component j for
+    j = 1..k-1, cached the same way. Walks are taken as given (traces come
     from enumeration); walk_occ is the checked reference.
     """
 
@@ -152,6 +154,7 @@ class OccTable:
         self._ind = tuple(suffix_indicator(g.vertex_word(v), params)
                           for v in g.vertices())
         self._columns: dict[Walk, OccVector] = {}
+        self._pumping: dict[Walk, tuple[int, ...]] = {}
         self._consts: dict[Walk, OccVector] = {}
 
     def _sum(self, walk: Walk) -> OccVector:
@@ -166,6 +169,13 @@ class OccTable:
         col = self._columns.get(walk)
         if col is None:
             col = self._columns[walk] = self._sum(walk)
+        return col
+
+    def pumping_column(self, walk: Walk) -> tuple[int, ...]:
+        col = self._pumping.get(walk)
+        if col is None:
+            c = self.column(walk)
+            col = self._pumping[walk] = tuple(c[0] - cj for cj in c[1:])
         return col
 
     def const(self, path: Walk) -> OccVector:

@@ -17,9 +17,16 @@ it is implemented. Finiteness: (a) one pumping LP over all cycles can
 refute every trace at once (_TraceChecker.refutes_all), and (b)
 cycle-free traces are not streamed (decide_finiteness). Both decisions:
 (c) every solve goes through one per-decision memo, _Solves, on keys
-that forget the order of the cycles. Equivalence: (d) a trace's branches
-holding one list's balance system are built and solved only when that
-system is feasible (_Separator).
+that forget the order of the cycles. The checks read each key off the
+OccTable (_pumped, _branch_keys) and build a system only to solve it.
+A key the memo has not seen is first tried against the Farkas
+certificates of the decision's earlier LP refutations: a y with
+y_r >= 0 on 'ge' rows, y . c <= 0 on every column c and y . b > 0 over
+z = x - lower proves A z (rels) b unsolvable in z >= 0, since any such
+z would give 0 >= sum (y . c) z_c = y . A z >= y . b > 0; so y refutes
+every system it passes, whichever system it came from (_Solves).
+Equivalence: (d) a trace's branches holding one list's balance system
+are built and solved only when that system is feasible (_Separator).
 
 Past the cycle guard finiteness does not give up at once
 (_past_the_guard). Rule (a') asks rule (a)'s question on the pattern
@@ -33,7 +40,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
+from operator import mul, sub
 
 from . import traces
 from .automaton import pattern_automaton
@@ -42,7 +51,7 @@ from .debruijn import (DEFAULT_MAX_VERTICES, DeBruijnGraph, OccTable, build,
 from .decomp import comp
 from .errors import (BudgetExceededError, CapExceededError,
                      DimensionCapError, WitnessError)
-from .linarith import (DEFAULT_NODE_BUDGET, LinearSystem,
+from .linarith import (DEFAULT_NODE_BUDGET, Feasibility, LinearSystem,
                        build_balance_system, build_psi_branches,
                        build_pumping_system, homogeneous_nontrivial,
                        is_pumping_witness, pumping_rows, solve_system)
@@ -137,10 +146,10 @@ def _columns(rows, m: int) -> list[tuple[int, ...]]:
     return list(zip(*rows)) if rows else [()] * m
 
 
-def _system_key(system: LinearSystem) -> tuple:
-    """A key that settles whether system has an integer solution: the
-    system over z = x - lower >= 0, that is its relations, b - A.lower,
-    and its sorted distinct nonzero columns.
+def _key(rels: tuple, rhs: tuple, cols) -> tuple:
+    """A key that settles whether the system with relations rels,
+    right-hand side rhs and columns cols has a solution z >= 0 in
+    integers: rels, rhs and the sorted distinct nonzero columns.
 
     Over z >= 0 every lower bound is 0, so permuting the columns permutes
     the solutions, and the columns are sorted. r >= 1 copies of a column c
@@ -150,20 +159,69 @@ def _system_key(system: LinearSystem) -> tuple:
     is dropped. Systems with equal keys are therefore feasible together or
     not at all, and the key itself reads as such a system over z >= 0.
     """
+    distinct = set(cols)
+    distinct.discard((0,) * len(rhs))
+    return rels, rhs, tuple(sorted(distinct))
+
+
+def _system_key(system: LinearSystem) -> tuple:
+    """_key of system over z = x - lower >= 0: its relations, b - A.lower
+    and its columns. The checks key their systems off the OccTable instead
+    (_pumped, _branch_keys) and build one only when its key is new."""
     rhs = tuple(b - sum(a * lo for a, lo in zip(row, system.lower))
                 for row, b in zip(system.coeffs, system.rhs))
-    cols = _columns(system.coeffs, system.n_vars)
-    return system.rels, rhs, tuple(sorted({c for c in cols if any(c)}))
+    return _key(system.rels, rhs, _columns(system.coeffs, system.n_vars))
+
+
+def _pumped(table: OccTable, T: OrderedTrace) -> tuple[list, tuple]:
+    """T's balance system in table over z = x - 1, as (columns, rhs).
+
+    build_balance_system gives T one column per cycle, the cycle's
+    pumping column, right-hand side s_j = const[j] - const[0] and lower
+    bounds 1, so over z = x - 1 its right-hand side is s - (the sum of
+    the columns)."""
+    cols = [table.pumping_column(c) for c in T.cycles]
+    const = table.const(T.path)
+    rhs = tuple(v - const[0] for v in const[1:])
+    for c in cols:
+        rhs = tuple(map(sub, rhs, c))
+    return cols, rhs
+
+
+def _balance_key(pumped: tuple[list, tuple]) -> tuple:
+    """The _system_key of the balance system that _pumped describes."""
+    cols, rhs = pumped
+    return _key(("eq",) * len(rhs), rhs, cols)
+
+
+def _branch_keys(held: tuple[list, tuple], other: tuple[list, tuple]):
+    """The _system_keys of the branches build_psi_branches(held=h) gives,
+    in its order, from the _pumped forms of list h's and the other list's
+    balance systems on one trace.
+
+    The branch for component j and sign adds to list h's balance system
+    the row sign * (the other's row j) >= sign * s_j + 1. Each cycle's
+    column gains the entry sign * c_j of its other column c, and over
+    z = x - 1 the new right-hand side is sign * (s_j - sum of those c_j)
+    + 1, sign times the other's shifted entry j, plus 1."""
+    (hcols, hrhs), (ocols, orhs) = held, other
+    rels = ("eq",) * len(hrhs) + ("ge",)
+    for j, s in enumerate(orhs):
+        for sign in (1, -1):
+            yield _key(rels, hrhs + (sign * s + 1,),
+                       [h + (sign * o[j],) for h, o in zip(hcols, ocols)])
 
 
 class _Solves:
     """Every solve of one decision, memoised: rule (c).
 
     pumping(rows, m) asks for a nonzero y >= 0 with rows . y = 0, for
-    each trace of a finiteness decision and for rule (a). feasible(system)
-    asks whether some x >= 1 solves system, for equivalence's held
-    balance systems. witness(system) asks for that x, for finiteness's
-    balance systems and equivalence's branches.
+    each trace of a finiteness decision and for rule (a). feasible(key,
+    build) asks whether some x >= lower solves the system build()
+    returns, for equivalence's held balance systems. witness(key, build)
+    asks for that x, for finiteness's balance systems and equivalence's
+    branches. key is the system's _system_key, which the caller reads off
+    its OccTable; build runs only when the memo cannot answer.
 
     The pumping question depends only on the set of distinct columns of
     rows: a solution over the distinct columns is one over rows once each
@@ -186,14 +244,29 @@ class _Solves:
     the same key tries again, as it would without the memo. Every memo
     holds one entry per distinct system met and lives as long as the
     decision.
+
+    Farkas certificates. A key the memo has not seen is first tried
+    against the certificates of earlier refutations with the same
+    relations (learn, refutes), and only a key that none refutes is
+    built and solved. Soundness, whatever system y came from (Farkas'
+    lemma, Schrijver 1986, 7.3): say the key's system is A z (rels) b
+    over z >= 0, with y . b > 0, y . c <= 0 for every column c of A and
+    y_r >= 0 on every 'ge' row. For any z >= 0 solving it, y_r A_r z =
+    y_r b_r on 'eq' rows and y_r A_r z >= y_r b_r on 'ge' rows, so
+    y . A z >= y . b > 0; but y . A z is the sum over c of (y . c) z_c
+    <= 0. So no rational z >= 0 solves it, and no integer one. The key
+    lists every column of the system up to repeats and zero columns,
+    which add nothing to y . A z, so testing its columns suffices.
     """
 
     def __init__(self, node_budget: int):
         self.node_budget = node_budget
         # distinct pumping columns -> weight per column, or None
         self._pumps: dict[tuple, dict | None] = {}
-        # _system_key -> whether the system has a solution x >= 1
+        # _system_key -> whether the system has a solution x >= lower
         self._systems: dict[tuple, bool] = {}
+        # relations -> certificates kept for systems with them
+        self._farkas: dict[tuple, list[tuple[int, ...]]] = {}
 
     def pumping(self, rows, m: int) -> tuple[int, ...] | None:
         """A nonzero y >= 0 with rows . y = 0 over m columns, or None."""
@@ -215,20 +288,49 @@ class _Solves:
             raise WitnessError("memoised pumping witness failed its re-check")
         return tuple(y)
 
-    def feasible(self, system: LinearSystem) -> bool:
-        key = _system_key(system)
-        if key not in self._systems:
-            self._systems[key] = solve_system(
-                system, node_budget=self.node_budget).feasible
-        return self._systems[key]
+    def learn(self, rels: tuple, y) -> None:
+        """Keep y as a certificate to try on systems with relations rels.
+        A y of another length than rels is none for their rows, and one
+        negative on a 'ge' row could refute a feasible system: neither is
+        kept."""
+        y = tuple(y)
+        if len(y) == len(rels) and all(
+                v >= 0 for v, rel in zip(y, rels) if rel == "ge"):
+            self._farkas.setdefault(rels, []).append(y)
 
-    def witness(self, system: LinearSystem) -> tuple[int, ...] | None:
-        key = _system_key(system)
-        if self._systems.get(key) is False:
-            return None
+    def refutes(self, key: tuple) -> bool:
+        """Whether a kept certificate proves key's system infeasible."""
+        rels, rhs, cols = key
+        for y in self._farkas.get(rels, ()):
+            if (sum(map(mul, y, rhs)) > 0
+                    and all(sum(map(mul, y, c)) <= 0 for c in cols)):
+                return True
+        return False
+
+    def _known(self, key: tuple) -> bool | None:
+        known = self._systems.get(key)
+        if known is None and self.refutes(key):
+            known = self._systems[key] = False
+        return known
+
+    def _solve(self, key: tuple, system: LinearSystem) -> Feasibility:
         result = solve_system(system, node_budget=self.node_budget)
         self._systems[key] = result.feasible
-        return result.witness
+        if result.certificate is not None:
+            self.learn(key[0], result.certificate)
+        return result
+
+    def feasible(self, key: tuple, build: Callable[[], LinearSystem]) -> bool:
+        known = self._known(key)
+        if known is None:
+            known = self._solve(key, build()).feasible
+        return known
+
+    def witness(self, key: tuple, build: Callable[[], LinearSystem]
+                ) -> tuple[int, ...] | None:
+        if self._known(key) is False:
+            return None
+        return self._solve(key, build()).witness
 
 
 class _TraceChecker:
@@ -298,7 +400,8 @@ class _TraceChecker:
         A trace without cycles has nothing to pump and gets None. The
         pumping test is a rational feasibility question and runs first;
         the balance test is the integer one and only runs when pumping
-        holds.
+        holds; its system is keyed off the table and built only when the
+        memo cannot answer.
         """
         if not T.cycles:
             return None
@@ -307,7 +410,8 @@ class _TraceChecker:
         if y is None:
             return None
         x = self.solves.witness(
-            build_balance_system(T, self.p, table=self.table))
+            _balance_key(_pumped(self.table, T)),
+            lambda: build_balance_system(T, self.p, table=self.table))
         if x is None:
             return None
         return FinitenessCertificate(T, x, y)
@@ -468,7 +572,9 @@ class _Separator:
     belongs to, from the first feasible negation branch of T in the order
     of build_psi_branches, or None when every branch is infeasible. Rules
     (c) and (d) skip infeasible branches without changing which one is
-    first.
+    first. Each held balance system and each branch is asked about by
+    its key, read off the tables (_pumped, _branch_keys) in the order of
+    build_psi_branches, and built only when the memo cannot answer it.
 
     Rule (d), the held pre-check. Every branch holding list h contains
     list h's balance system verbatim, so when that system is infeasible
@@ -498,24 +604,43 @@ class _Separator:
                 f"the languages (branch {branch.label!r})")
         return word, 1 if in1 else 2
 
+    def _system(self, T: OrderedTrace, built: dict, h: int,
+                i: int = -1) -> LinearSystem:
+        """List h's balance system on T, or branch i of its held share,
+        each built once per trace and kept in built."""
+        if (h, i) not in built:
+            if i < 0:
+                built[h, i] = build_balance_system(
+                    T, self.lists[h - 1], table=self.tables[h - 1])
+            else:
+                shares = build_psi_branches(self._system(T, built, 1),
+                                            self._system(T, built, 2),
+                                            held=h)
+                built.update(((h, j), b) for j, b in enumerate(shares))
+        return built[h, i]
+
     def check(self, T: OrderedTrace) -> tuple[Word, int] | None:
-        balances = [build_balance_system(T, p, table=t)
-                    for p, t in zip(self.lists, self.tables)]
+        pumped = [_pumped(t, T) for t in self.tables]
+        built = {}
         budget = None
         for h in (1, 2):
             try:
-                if not self.solves.feasible(balances[h - 1]):
+                if not self.solves.feasible(_balance_key(pumped[h - 1]),
+                                            partial(self._system, T, built,
+                                                    h)):
                     continue
             except BudgetExceededError as e:
                 budget = e
-            for branch in build_psi_branches(*balances, held=h):
+            keys = _branch_keys(pumped[h - 1], pumped[2 - h])
+            for i, key in enumerate(keys):
                 try:
-                    x = self.solves.witness(branch)
+                    x = self.solves.witness(
+                        key, partial(self._system, T, built, h, i))
                 except BudgetExceededError as e:
                     budget = e
                     continue
                 if x is not None:
-                    return self._separating(T, branch, x)
+                    return self._separating(T, built[h, i], x)
         if budget is not None:
             raise budget
         return None

@@ -8,7 +8,7 @@ float enters any verdict. The solver stack, cheapest first:
      gcd division, zero-row and divisibility refutations),
   2. one phase-1 rational LP over the whole system: no rational
      solution means no integer one, and most infeasible systems stop
-     here,
+     here, with a Farkas certificate read off the final tableau,
   3. an integer lattice check ignoring bounds (unimodular column
      elimination plus forward substitution with divisibility tests),
   4. interval propagation over the variable boxes,
@@ -17,14 +17,15 @@ float enters any verdict. The solver stack, cheapest first:
 
 Feasible answers always carry a witness that is re-checked exactly, by
 explicit checks that raise WitnessError and so also run under python -O;
-running out of node budget raises BudgetExceededError instead of
-guessing.
+a refutation by the LP carries a Farkas certificate over the system's
+own rows, which a caller may try on other systems; running out of node
+budget raises BudgetExceededError instead of guessing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # build is not called here: it stays for perfbench/tracer.py TARGETS
 from .debruijn import OccTable, build, walk_occ  # noqa: F401
@@ -94,8 +95,14 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class Feasibility:
+    """A solve's outcome. certificate, when given with an infeasible one,
+    is a Farkas certificate y over the system's rows: y_r >= 0 on every
+    'ge' row, y . c <= 0 for every column c and y . (rhs - A.lower) > 0,
+    so no rational x >= lower solves the rows."""
+
     feasible: bool
     witness: tuple[int, ...] | None = None
+    certificate: tuple[int, ...] | None = field(default=None, compare=False)
 
 
 INFEASIBLE = Feasibility(False, None)
@@ -117,23 +124,10 @@ def is_pumping_witness(rows, y) -> bool:
 # phase-1 simplex on one integer tableau
 
 
-def _phase1(rows, rhs):
-    """Feasible point of {rows . x = rhs, x >= 0} over the rationals.
-
-    Returns (num, den) with den > 0 and x[j] = num[j] / den, one numerator
-    per column, or None. Bland's rule, so termination is unconditional.
-
-    The tableau [rows | artificials | rhs] and its objective row (the
-    reduced costs of the artificial sum, then minus that sum) are integers
-    scaled by den, the absolute determinant of the current basis. A pivot
-    on the entry piv takes every other row to (piv*row - f*pivot_row) // den
-    and then sets den = piv (Edmonds; Bareiss): the pivot row already holds
-    its new values scaled by piv, piv > 0 keeps den positive, and every
-    division is exact because each new entry is an integer by Cramer's rule.
-    """
+def _pivot(rows, rhs):
+    """The final phase-1 tableau of {rows . x = rhs, x >= 0}: (tab, basis,
+    den), as _phase1 describes it, for m >= 1 rows."""
     m = len(rows)
-    if m == 0:
-        return [], 1
     n = len(rows[0])
     tab = []
     for r, (row, b) in enumerate(zip(rows, rhs)):
@@ -175,14 +169,57 @@ def _phase1(rows, rhs):
                           for a, p in zip(row, pivot_row)]
         basis[leave] = enter
         den = piv
+    return tab, basis, den
 
-    if tab[m][-1]:
+
+def _phase1(rows, rhs):
+    """Feasible point of {rows . x = rhs, x >= 0} over the rationals.
+
+    Returns (num, den) with den > 0 and x[j] = num[j] / den, one numerator
+    per column, or None. Bland's rule, so termination is unconditional.
+
+    The tableau [rows | artificials | rhs] and its objective row (the
+    reduced costs of the artificial sum, then minus that sum) are integers
+    scaled by den, the absolute determinant of the current basis. A pivot
+    on the entry piv takes every other row to (piv*row - f*pivot_row) // den
+    and then sets den = piv (Edmonds; Bareiss): the pivot row already holds
+    its new values scaled by piv, piv > 0 keeps den positive, and every
+    division is exact because each new entry is an integer by Cramer's rule.
+    When the optimum is positive the same tableau also holds a Farkas
+    certificate; see _farkas.
+    """
+    if not rows:
+        return [], 1
+    tab, basis, den = _pivot(rows, rhs)
+    if tab[-1][-1]:
         return None
+    n = len(rows[0])
     num = [0] * n
     for r, j in enumerate(basis):
         if j < n:
             num[j] = tab[r][-1]
     return num, den
+
+
+def _farkas(tab, den, rhs) -> list[int]:
+    """y with y . rows <= 0 column by column and y . rhs > 0, from a final
+    phase-1 tableau of rows whose optimum is positive.
+
+    The objective row holds, scaled by den, the reduced costs c - pi.A'
+    of the phase-1 costs (0 on the columns of rows, 1 on the artificials),
+    A' being the rows with row r multiplied by sign_r (the sign of rhs_r)
+    and pi the simplex multipliers, and in its last entry -pi.b'. At the
+    optimum no reduced cost is negative: on the column of artificial r
+    that reads pi_r = (den - tab[m][n+r]) / den, on a column j of rows
+    pi . A'_j <= 0, and the positive optimum is pi . b' > 0. So
+    y_r = sign_r * (den - tab[m][n+r]), pi's image on the unsigned rows
+    scaled by den > 0, is an integer certificate.
+    """
+    m = len(rhs)
+    n = len(tab[0]) - m - 1
+    obj = tab[m]
+    return [(-1 if b < 0 else 1) * (den - obj[n + r])
+            for r, b in enumerate(rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +545,24 @@ def solve_system(system: LinearSystem, *,
     Then one rational LP decides the relaxation (no rational solution,
     no integer one); only a system that passes gets its integer lattice
     built, and searched by _solve_nonneg.
+
+    A refutation by the LP carries its Farkas certificate (see
+    Feasibility), mapped from the LP's rows onto the system's own rows
+    over z = x - lower: with L the lcm of the row gcds g_r, a row divided
+    by g_r gets y_r * L / g_r, a dropped zero row gets 0, and the whole is
+    divided by its gcd. A slack column -e_r carries y_r, so y . slack <= 0
+    reads y_r >= 0 on each 'ge' row. A zero row r with b_r != 0 is
+    refuted by y = e_r times the sign of b_r. Only an indivisible row or
+    an empty lattice, which refute integers alone, give no certificate.
     """
     n = system.n_vars
     slacks = system.rels.count("ge")
     rows = []
     rhs = []
+    kept = []  # (system row, gcd) of each LP row
     s = n
-    for row, rel, b in zip(system.coeffs, system.rels, system.rhs):
+    for r, (row, rel, b) in enumerate(zip(system.coeffs, system.rels,
+                                          system.rhs)):
         b -= sum(a * lo for a, lo in zip(row, system.lower))
         row = list(row) + [0] * slacks
         if rel == "ge":
@@ -523,20 +571,30 @@ def solve_system(system: LinearSystem, *,
         g = math.gcd(*row)
         if g == 0:
             if b != 0:
-                return INFEASIBLE
+                # 'eq' (a 'ge' row has its slack): 0 = b, refuted by +-e_r
+                y = [0] * len(system.rels)
+                y[r] = 1 if b > 0 else -1
+                return Feasibility(False, None, tuple(y))
             continue
         if b % g != 0:
             return INFEASIBLE
         rows.append([a // g for a in row])
         rhs.append(b // g)
+        kept.append((r, g))
 
     if not rows:
         witness = tuple(system.lower)
         _require(system.satisfied_by(witness), "lower-bound witness")
         return Feasibility(True, witness)
 
-    if _phase1(rows, rhs) is None:
-        return INFEASIBLE
+    tab, _, den = _pivot(rows, rhs)
+    if tab[-1][-1]:
+        lcm = math.lcm(*(g for _, g in kept))
+        y = [0] * len(system.rels)
+        for (r, g), v in zip(kept, _farkas(tab, den, rhs)):
+            y[r] = v * (lcm // g)
+        common = math.gcd(*y)
+        return Feasibility(False, None, tuple(v // common for v in y))
     lattice = _lattice_solve(rows, rhs)
     if lattice is None:
         return INFEASIBLE

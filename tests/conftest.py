@@ -1,11 +1,14 @@
 """Shared helpers for the test suite: parameter lists from plain strings,
 explicit fixture graphs, a plain-row ILP front end, the Fraction simplex
-reference, unordered traces, multi-traces and the brute-force walk-trace
-search."""
+reference, small systems and their relaxation over z >= 0, unordered
+traces, multi-traces and the brute-force walk-trace search."""
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from wordmix import Alphabet, ParamList, word_from_str
 from wordmix.decomp import Vertex, Walk, dec
@@ -134,6 +137,49 @@ def reference_phase1(rows, rhs):
         if basis[r] < n:
             point[basis[r]] = d[r]
     return point
+
+
+@st.composite
+def small_systems(draw) -> LinearSystem:
+    """LinearSystems of 1-3 rows over 1-4 columns, with 'ge' rows, lower
+    bounds 0-2, rows scaled by 2 or 3 with a right-hand side that keeps
+    them divisible over z = x - lower, and possibly an 'eq' zero row with
+    right-hand side 0, which solve_system drops."""
+    n = draw(st.integers(1, 4))
+    lower = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    coeffs, rels, rhs = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.sampled_from((1, 1, 2, 3)))
+        row = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        coeffs.append(tuple(g * a for a in row))
+        rels.append(draw(st.sampled_from(("eq", "ge"))))
+        rhs.append(g * draw(st.integers(-4, 4)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(coeffs)))
+        coeffs.insert(at, (0,) * n)
+        rels.insert(at, "eq")
+        rhs.insert(at, 0)
+    return LinearSystem(tuple(coeffs), tuple(rels), tuple(rhs), lower)
+
+
+def relaxation(system: LinearSystem):
+    """(rows, rhs) of the system over z = x - lower >= 0, a slack column
+    -1 for each 'ge' row, rows left undivided: its rational relaxation
+    for reference_phase1."""
+    slacks = [r for r, rel in enumerate(system.rels) if rel == "ge"]
+    rows = [list(row) + [-int(r == s) for s in slacks]
+            for r, row in enumerate(system.coeffs)]
+    rhs = [b - sum(a * lo for a, lo in zip(row, system.lower))
+           for row, b in zip(system.coeffs, system.rhs)]
+    return rows, rhs
+
+
+def has_indivisible_row(system: LinearSystem) -> bool:
+    """Whether some row over z >= 0 has a nonzero gcd that does not
+    divide its right-hand side, which refutes the system over the
+    integers alone."""
+    return any(math.gcd(*row) and b % math.gcd(*row)
+               for row, b in zip(*relaxation(system)))
 
 
 @dataclass(frozen=True)

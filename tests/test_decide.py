@@ -480,14 +480,23 @@ def _recipe_pairs(seed, count):
 
 
 def test_separator_matches_the_reference_loop():
-    """Per trace, the decision's check (held pre-check and memo) gives
-    what the old per-branch loop gives: None, or the same word and list.
-    Every trace of two equal pairs, the first 700 of a third, and the
-    first 80 of 30 not-equal pairs, each of which some of them separate."""
+    """Per trace, the decision's check (held pre-check, memo and kept
+    Farkas certificates) gives what the old per-branch loop gives: None,
+    or the same word and list. Every trace of four equal pairs, two of
+    which (a,ab,b,bb and ba,b,bb,ab,aa) the certificates settle almost
+    alone, the first 700 of two more, whose word sets differ, and the
+    first 80 of 30 not-equal pairs, each of which some of them
+    separate."""
     equal = [(plist("ab", "ab", "ba", "a"), plist("ab", "ba", "ab", "a", "a"),
               None, False),
              (plist("ab", "b", "aa"), plist("ab", "aa", "b", "b"), None, False),
+             (plist("ab", "a", "ab", "b", "bb"),
+              plist("ab", "bb", "b", "ab", "a", "a"), None, False),
+             (plist("ab", "ba", "b", "bb", "ab", "aa"),
+              plist("ab", "aa", "ab", "bb", "b", "ba", "ba"), None, False),
              (plist("ab", "a", "aa", "b"), plist("ab", "ab", "ba", "a", "b"),
+              700, False),
+             (plist("ab", "a", "aa"), plist("ab", "a", "aa", "aaa"),
               700, False)]
     not_equal = [(p1, p2, 80, True) for p1, p2 in _recipe_pairs(1, 30)]
     for p1, p2, limit, differ in equal + not_equal:

@@ -2,7 +2,7 @@ import random
 from itertools import islice, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wordmix import (
     Alphabet,
@@ -20,7 +20,8 @@ from wordmix import (
 from wordmix.debruijn import OccTable
 from wordmix.linarith import homogeneous_nontrivial
 
-from conftest import ilp_feasible, plist
+from conftest import (has_indivisible_row, ilp_feasible, plist,
+                      reference_phase1, relaxation, small_systems)
 
 
 D2 = build(Alphabet.from_string("ab"), 2)
@@ -358,3 +359,30 @@ def test_feasibility_invariances():
                        for i, row in enumerate(rows)]
         scaled_rhs = [c * b if i == j else b for i, b in enumerate(rhs)]
         assert ilp_feasible(scaled_rows, scaled_rhs, lower).feasible == base
+
+
+@given(small_systems())
+@settings(max_examples=300, deadline=None)
+def test_relaxation_refutations_carry_farkas_certificates(system):
+    """A system whose relaxation over z = x - lower >= 0 has no rational
+    solution (by the Fraction reference) is refuted by solve_system, with
+    a certificate unless an indivisible row refutes it first. The certificate
+    passes Farkas' test, written out here: y_r >= 0 on 'ge' rows,
+    y . c <= 0 on every column c and y . (rhs - A.lower) > 0; a dropped
+    zero row gets 0."""
+    rows, rhs = relaxation(system)
+    assume(reference_phase1(rows, rhs) is None)
+    result = solve_system(system)
+    assert not result.feasible
+    y = result.certificate
+    if y is None:
+        assert has_indivisible_row(system)
+        return
+    assert len(y) == len(system.rels)
+    assert sum(v * b for v, b in zip(y, rhs)) > 0
+    for j in range(system.n_vars):
+        assert sum(v * row[j] for v, row in zip(y, system.coeffs)) <= 0
+    for v, rel, row, b in zip(y, system.rels, system.coeffs, rhs):
+        assert v >= 0 or rel == "eq"
+        # an 'eq' row reading 0 = 0 is dropped
+        assert v == 0 or rel == "ge" or any(row) or b != 0

@@ -21,15 +21,17 @@ from hypothesis import example, given, settings, strategies as st
 import wordmix.decide
 from wordmix import (BudgetExceededError, CapExceededError, Caps,
                      LinearSystem, build, build_balance_system,
-                     build_pumping_system, decide_finiteness,
+                     build_psi_branches, build_pumping_system,
+                     decide_equivalence, decide_finiteness,
                      enumerate_members, enumerate_traces, solve_system)
 from wordmix.cli import _validate_finiteness_certificate
 from wordmix.debruijn import OccTable
-from wordmix.decide import _Solves, _system_key, _TraceChecker
+from wordmix.decide import (_balance_key, _branch_keys, _pumped, _Solves,
+                            _system_key, _TraceChecker)
 from wordmix.linarith import DEFAULT_NODE_BUDGET, homogeneous_nontrivial
 from wordmix.traces import enumerate_cycles
 
-from conftest import plist
+from conftest import plist, reference_phase1, relaxation, small_systems
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -157,11 +159,14 @@ def test_stream_skips_exactly_the_cycle_free_traces():
     assert decide_finiteness(p).traces_checked == len(with_cycles)
 
 
-def test_memo_agrees_with_fresh_checks_on_every_trace():
+def test_memo_agrees_with_fresh_checks_on_every_trace(monkeypatch):
     """One checker shared across all traces (so most answers come from its
     memo) against a fresh check per trace, and every memo certificate
-    against the trace's own systems built without the decision's table."""
-    for p in (plist("ab", "ab", "ba"), plist("01", "0", "1", "00", "11")):
+    against the trace's own systems built without the decision's table.
+    On a,b,ab,ba most balance refutations come from kept Farkas
+    certificates, not from solves."""
+    for p in (plist("ab", "ab", "ba"), plist("01", "0", "1", "00", "11"),
+              plist("ab", "a", "b", "ab", "ba")):
         g = build(p.alphabet, 2)
         shared = _TraceChecker(g, p, node_budget=10_000)
         traces = certified = 0
@@ -182,6 +187,18 @@ def test_memo_agrees_with_fresh_checks_on_every_trace():
         # most answers came from the memo
         assert len(shared.solves._pumps) < traces // 4
         assert len(shared.solves._systems) < max(certified, traces // 4)
+        if p.words == plist("ab", "a", "b", "ab", "ba").words:
+            # kept certificates answered all but a tenth of the distinct
+            # balance systems asked about, with no solve
+            assert certified == 0
+            solved = []
+            monkeypatch.setattr(wordmix.decide, "solve_system",
+                                lambda s, **kw: solved.append(s)
+                                or solve_system(s, **kw))
+            counted = _TraceChecker(g, p, node_budget=10_000)
+            for T in enumerate_traces(g, min_cycles=1):
+                assert counted.check(T) is None
+            assert 0 < len(solved) < len(counted.solves._systems) // 10
 
 
 def _system(columns, rels, rhs, lower=None) -> LinearSystem:
@@ -261,6 +278,34 @@ def test_system_key_keeps_feasibility(pair):
         _system(columns, rels, rhs, [0] * len(columns))).feasible == feasible
 
 
+def test_column_keys_equal_the_built_systems_keys():
+    """The checks key each trace's balance systems and branches off the
+    OccTable (_pumped, _balance_key, _branch_keys) and build a system only
+    when its key is new. On every trace of seeded binary pairs at N = 1
+    and 2, and the first 300 traces of those at N = 3, those keys equal
+    _system_key of the systems built without the table, branch by branch
+    in build_psi_branches order."""
+    lists = [p for n in (1, 2, 3) for p in _random_lists(20 + n, "ab", n, 6)]
+    pairs = list(zip(lists[::2], lists[1::2]))
+    keyed = 0
+    for p1, p2 in pairs:
+        dim = max(p1.max_len, p2.max_len)
+        g = build(p1.alphabet, dim)
+        tables = (OccTable(g, p1), OccTable(g, p2))
+        for T in itertools.islice(enumerate_traces(g),
+                                  None if dim <= 2 else 300):
+            pumped = [_pumped(t, T) for t in tables]
+            balances = [build_balance_system(T, p) for p in (p1, p2)]
+            for h in (1, 2):
+                assert _balance_key(pumped[h - 1]) == \
+                    _system_key(balances[h - 1])
+                assert list(_branch_keys(pumped[h - 1], pumped[2 - h])) == [
+                    _system_key(b)
+                    for b in build_psi_branches(*balances, held=h)]
+                keyed += 1
+    assert keyed > 2000
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_same_key_pair(bounds=st.just(1)), min_size=1, max_size=4)
        .map(lambda pairs: [s for pair in pairs for s in pair]))
@@ -277,6 +322,12 @@ def test_system_key_partitions_lower_one_systems_as_before(systems):
         == len({new for _, new in pairs})
 
 
+def _ask(ask, solves: _Solves, system: LinearSystem):
+    """ask (_Solves.feasible or witness) about system, keyed as the
+    checks key it."""
+    return ask(solves, _system_key(system), lambda: system)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_same_key_pair(), st.data())
 def test_solves_answers_as_fresh_solves_do(pair, data):
@@ -288,11 +339,11 @@ def test_solves_answers_as_fresh_solves_do(pair, data):
         system = pair[which]
         feasible = solve_system(system).feasible
         if data.draw(st.booleans(), label="witness"):
-            x = solves.witness(system)
+            x = _ask(_Solves.witness, solves, system)
             assert (x is not None) == feasible
             assert x is None or system.satisfied_by(x)
         else:
-            assert solves.feasible(system) == feasible
+            assert _ask(_Solves.feasible, solves, system) == feasible
 
 
 @pytest.mark.parametrize("ask", [_Solves.feasible, _Solves.witness],
@@ -313,47 +364,77 @@ def test_solves_caches_no_budget_error(monkeypatch, ask):
     infeasible = _system([(1,)], ["eq"], [0])
     solves = _Solves(DEFAULT_NODE_BUDGET)
     with pytest.raises(BudgetExceededError):
-        ask(solves, infeasible)
-    assert not ask(solves, infeasible)
+        _ask(ask, solves, infeasible)
+    assert not _ask(ask, solves, infeasible)
     assert calls == 2
-    assert not ask(solves, infeasible)
+    assert not _ask(ask, solves, infeasible)
     assert calls == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems(),
+       st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=4),
+                max_size=6))
+@example(LinearSystem(((1,),), ("ge",), (-1,), (0,)), [[-1]])
+@example(LinearSystem(((1, 1),), ("eq",), (-1,), (0, 0)), [[-1]])
+def test_kept_certificates_refute_no_feasible_system(system, ys):
+    """A _Solves that keeps arbitrary integer vectors as certificates for
+    the system's relations refutes the system only when it has no
+    rational solution x >= lower, so whatever the vectors' origin its
+    answer is sound. The examples are a vector negative on a 'ge' row,
+    which would refute the feasible x >= -1 if kept, and one that refutes
+    the infeasible x1 + x2 = -1 over x >= 0."""
+    solves = _Solves(DEFAULT_NODE_BUDGET)
+    for y in ys:
+        solves.learn(system.rels, y)
+    key = _system_key(system)
+    if solves.refutes(key):
+        assert reference_phase1(*relaxation(system)) is None
+        assert not solves.feasible(key, lambda: system)
+        assert not solve_system(system).feasible
 
 
 def test_decisions_leave_no_cyclic_garbage():
+    """No decision of either kind leaves cyclic garbage, and none keeps
+    memory: the net traced growth over 30 decisions, after 10, stays
+    under 2 KiB, which a leak of 70 bytes per decision would break. A
+    full collection also empties the interpreter's free lists, so the two
+    traced sizes taken right after one count live blocks only."""
     p = plist("ab", "aaaa", "bbbb")
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        # fill the interpreter's free lists before measuring
-        for _ in range(5):
-            decide_finiteness(p)
         tracemalloc.start()
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            decide_finiteness(p)
-            one_decision = tracemalloc.get_traced_memory()[1] - base
-            for _ in range(9):
+            for _ in range(10):
                 decide_finiteness(p)
+            assert gc.collect() == 0
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(30):
+                decide_finiteness(p)
+            assert gc.collect() == 0
             grown = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert gc.collect() == 0
         # past the cycle guard: rule (a'), then rungs of streams cut short
         for _ in range(3):
             decide_finiteness(plist("ab", "aaaaa", "bbbbb"))
         assert gc.collect() == 0
+        # an equal pair whose held balance systems are often feasible, so
+        # that its branches are keyed, built and solved
+        decide_equivalence(plist("ab", "b", "aa"), plist("ab", "aa", "b", "b"))
+        assert gc.collect() == 0
     finally:
         if was_enabled:
             gc.enable()
-    # ten decisions together leave behind less than one decision uses
-    assert grown < one_decision, (grown, one_decision)
+    assert grown < 2048, grown
 
 
 def test_witness_checks_survive_python_O():
     # an unbalanced family, and the CLI's certificate check on a balanced
-    # one that does not grow (y = 0) and on one with an x entry too many
+    # one that does not grow (y = 0) and on one with an x entry too many;
+    # then the solve memo's check on the certificates it keeps
     code = (
         "from wordmix import *\n"
         "from wordmix.cli import _validate_finiteness_certificate\n"
@@ -371,15 +452,22 @@ def test_witness_checks_survive_python_O():
         "    try:\n"
         "        check(cert)\n"
         "    except WitnessError as e:\n"
-        "        print('WitnessError', e)\n")
+        "        print('WitnessError', e)\n"
+        "from wordmix.decide import _Solves, _system_key\n"
+        "s = LinearSystem(((1,),), ('ge',), (-1,), (0,))\n"
+        "solves = _Solves(10)\n"
+        "solves.learn(s.rels, (-1,))\n"
+        "print('refuted', solves.refutes(_system_key(s)))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3, proc.stdout
+    assert len(lines) == 4, proc.stdout
     assert lines[0].startswith("WitnessError"), proc.stdout
     assert lines[1] == "WitnessError the pumped word does not grow", \
         proc.stdout
     assert lines[2] == ("WitnessError certificate needs one x and one y "
                         "entry per cycle"), proc.stdout
+    # a kept certificate negative on a 'ge' row would refute x >= -1
+    assert lines[3] == "refuted False", proc.stdout
