@@ -559,7 +559,8 @@ def solve_system(system: LinearSystem, *,
     slacks = system.rels.count("ge")
     rows = []
     rhs = []
-    kept = []  # (system row, gcd) of each LP row
+    origin = []  # the system row of each LP row
+    gcds = []  # and the gcd it was divided by
     s = n
     for r, (row, rel, b) in enumerate(zip(system.coeffs, system.rels,
                                           system.rhs)):
@@ -580,7 +581,8 @@ def solve_system(system: LinearSystem, *,
             return INFEASIBLE
         rows.append([a // g for a in row])
         rhs.append(b // g)
-        kept.append((r, g))
+        origin.append(r)
+        gcds.append(g)
 
     if not rows:
         witness = tuple(system.lower)
@@ -589,12 +591,14 @@ def solve_system(system: LinearSystem, *,
 
     tab, _, den = _pivot(rows, rhs)
     if tab[-1][-1]:
-        lcm = math.lcm(*(g for _, g in kept))
+        lcm = math.lcm(*gcds)
         y = [0] * len(system.rels)
-        for (r, g), v in zip(kept, _farkas(tab, den, rhs)):
+        for r, g, v in zip(origin, gcds, _farkas(tab, den, rhs)):
             y[r] = v * (lcm // g)
         common = math.gcd(*y)
-        return Feasibility(False, None, tuple(v // common for v in y))
+        if common > 1:
+            y = [v // common for v in y]
+        return Feasibility(False, None, tuple(y))
     lattice = _lattice_solve(rows, rhs)
     if lattice is None:
         return INFEASIBLE
