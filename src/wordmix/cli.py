@@ -331,8 +331,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_graph(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
-    if args.dim < 1:
-        raise ValueError("--dim must be >= 1")
     g = build(alphabet, args.dim, max_vertices=args.max_vertices)
     path, cycles = (), ()
     if args.word is not None:

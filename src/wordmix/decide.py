@@ -16,17 +16,25 @@ maps what comes back to its verdict. Four rules apply, each argued where
 it is implemented. Finiteness: (a) one pumping LP over all cycles can
 refute every trace at once (_TraceChecker.refutes_all), and (b)
 cycle-free traces are not streamed (decide_finiteness). Both decisions:
-(c) every solve goes through one per-decision memo, _Solves, on keys
-that forget the order of the cycles. The checks read each key off the
-OccTable (_pumped, _branch_keys) and build a system only to solve it.
-A key the memo has not seen is first tried against the Farkas
-certificates of the decision's earlier LP refutations: a y with
-y_r >= 0 on 'ge' rows, y . c <= 0 on every column c and y . b > 0 over
-z = x - lower proves A z (rels) b unsolvable in z >= 0, since any such
-z would give 0 >= sum (y . c) z_c = y . A z >= y . b > 0; so y refutes
-every system it passes, whichever system it came from (_Solves).
-Equivalence: (d) a trace's branches holding one list's balance system
-are built and solved only when that system is feasible (_Separator).
+(c) the checks read each system of a trace off the OccTable as its key
+(_pumped, _balance_key, _branch_keys): the system over z = x - 1 with
+the order, the repeats and the zeros of its columns forgotten. One
+per-decision memo, _Solves, solves each key's own system once. A key the
+memo has not seen is first tried against the Farkas certificates of the
+decision's earlier LP refutations: a y with y_r >= 0 on 'ge' rows,
+y . c <= 0 on every column c and y . b > 0 proves A z (rels) b
+unsolvable in z >= 0, since any such z would give 0 >= sum (y . c) z_c =
+y . A z >= y . b > 0; so y refutes every system it passes, whichever
+system it came from (_Solves). Equivalence: (d) a trace's branches
+holding one list's balance system are solved only when that system is
+feasible (_Separator).
+
+An answer goes from a key's columns back onto the trace's cycles by
+_spread. The paper's systems are built only to re-check an answer before
+it leaves the decision: an infinite certificate against its trace's
+balance and pumping systems (_recheck_certificate), and a separating
+branch's multiplicities against that branch (_recheck_branch). Both
+raise WitnessError when the answer fails.
 
 Past the cycle guard finiteness does not give up at once
 (_past_the_guard). Rule (a') asks rule (a)'s question on the pattern
@@ -40,7 +48,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from operator import mul, sub
 
@@ -51,10 +58,10 @@ from .debruijn import (DEFAULT_MAX_VERTICES, DeBruijnGraph, OccTable, build,
 from .decomp import comp
 from .errors import (BudgetExceededError, CapExceededError,
                      DimensionCapError, WitnessError)
-from .linarith import (DEFAULT_NODE_BUDGET, Feasibility, LinearSystem,
+from .linarith import (DEFAULT_NODE_BUDGET, LinearSystem, branch_label,
                        build_balance_system, build_psi_branches,
                        build_pumping_system, homogeneous_nontrivial,
-                       is_pumping_witness, pumping_rows, solve_system)
+                       is_pumping_witness, solve_system)
 from .traces import DEFAULT_MAX_TRACES, OrderedTrace, enumerate_traces
 from .words import (ParamList, Word, is_member, suffix_indicator,
                     word_to_str)
@@ -141,11 +148,6 @@ class EquivalenceVerdict:
         }
 
 
-def _columns(rows, m: int) -> list[tuple[int, ...]]:
-    """The m columns of rows; empty tuples when there are no rows (k = 1)."""
-    return list(zip(*rows)) if rows else [()] * m
-
-
 def _key(rels: tuple, rhs: tuple, cols) -> tuple:
     """A key that settles whether the system with relations rels,
     right-hand side rhs and columns cols has a solution z >= 0 in
@@ -157,20 +159,30 @@ def _key(rels: tuple, rhs: tuple, cols) -> tuple:
     value >= 0, as one copy's z does, so the copies merge into one. A
     column that is zero in every row meets the rows whatever its z, so it
     is dropped. Systems with equal keys are therefore feasible together or
-    not at all, and the key itself reads as such a system over z >= 0.
+    not at all, and the key itself reads as such a system over z >= 0,
+    which _Solves.solve solves.
     """
     distinct = set(cols)
     distinct.discard((0,) * len(rhs))
     return rels, rhs, tuple(sorted(distinct))
 
 
-def _system_key(system: LinearSystem) -> tuple:
-    """_key of system over z = x - lower >= 0: its relations, b - A.lower
-    and its columns. The checks key their systems off the OccTable instead
-    (_pumped, _branch_keys) and build one only when its key is new."""
-    rhs = tuple(b - sum(a * lo for a, lo in zip(row, system.lower))
-                for row, b in zip(system.coeffs, system.rhs))
-    return _key(system.rels, rhs, _columns(system.coeffs, system.n_vars))
+def _spread(cols, key_cols, values) -> tuple[int, ...]:
+    """values, one per column of key_cols, spread onto cols: the first
+    copy of each column of key_cols takes its value, later copies and
+    the columns that key_cols does not list take 0.
+
+    Every column of key_cols is one of cols, so sum_i out_i * cols[i] =
+    sum_c values_c * c. A nonzero kernel vector y >= 0 of the distinct
+    columns therefore spreads to a nonzero kernel vector y >= 0 of cols.
+    A z >= 0 solving the system of a key read off cols, whose right-hand
+    side is b - A.lower, spreads to z' >= 0 with A z' = sum_c z_c c, so
+    x = lower + z' has A x = A.lower + sum_c z_c c, which stands in the
+    key's relations to b: x solves the caller's system, x >= lower. The
+    checks read their keys over lower bounds 1.
+    """
+    value = dict(zip(key_cols, values))
+    return tuple(value.pop(c, 0) for c in cols)
 
 
 def _pumped(table: OccTable, T: OrderedTrace) -> tuple[list, tuple]:
@@ -179,7 +191,7 @@ def _pumped(table: OccTable, T: OrderedTrace) -> tuple[list, tuple]:
     build_balance_system gives T one column per cycle, the cycle's
     pumping column, right-hand side s_j = const[j] - const[0] and lower
     bounds 1, so over z = x - 1 its right-hand side is s - (the sum of
-    the columns)."""
+    the columns). The columns are also T's pumping system."""
     cols = [table.pumping_column(c) for c in T.cycles]
     const = table.const(T.path)
     rhs = tuple(v - const[0] for v in const[1:])
@@ -188,16 +200,16 @@ def _pumped(table: OccTable, T: OrderedTrace) -> tuple[list, tuple]:
     return cols, rhs
 
 
-def _balance_key(pumped: tuple[list, tuple]) -> tuple:
-    """The _system_key of the balance system that _pumped describes."""
-    cols, rhs = pumped
+def _balance_key(cols: list, rhs: tuple) -> tuple:
+    """The key of the balance system that _pumped gives as (cols, rhs)."""
     return _key(("eq",) * len(rhs), rhs, cols)
 
 
-def _branch_keys(held: tuple[list, tuple], other: tuple[list, tuple]):
-    """The _system_keys of the branches build_psi_branches(held=h) gives,
-    in its order, from the _pumped forms of list h's and the other list's
-    balance systems on one trace.
+def _branch_keys(held: tuple[list, tuple], other: tuple[list, tuple],
+                 h: int):
+    """(key, columns, label) of each branch build_psi_branches(held=h)
+    gives, in its order, from the _pumped forms of list h's and the other
+    list's balance systems on one trace.
 
     The branch for component j and sign adds to list h's balance system
     the row sign * (the other's row j) >= sign * s_j + 1. Each cycle's
@@ -208,38 +220,30 @@ def _branch_keys(held: tuple[list, tuple], other: tuple[list, tuple]):
     rels = ("eq",) * len(hrhs) + ("ge",)
     for j, s in enumerate(orhs):
         for sign in (1, -1):
-            yield _key(rels, hrhs + (sign * s + 1,),
-                       [h + (sign * o[j],) for h, o in zip(hcols, ocols)])
+            cols = [c + (sign * o[j],) for c, o in zip(hcols, ocols)]
+            yield (_key(rels, hrhs + (sign * s + 1,), cols), cols,
+                   branch_label(h, j + 1, sign))
 
 
 class _Solves:
-    """Every solve of one decision, memoised: rule (c).
+    """Every solve of one decision, memoised on keys: rule (c).
 
-    pumping(rows, m) asks for a nonzero y >= 0 with rows . y = 0, for
-    each trace of a finiteness decision and for rule (a). feasible(key,
-    build) asks whether some x >= lower solves the system build()
-    returns, for equivalence's held balance systems. witness(key, build)
-    asks for that x, for finiteness's balance systems and equivalence's
-    branches. key is the system's _system_key, which the caller reads off
-    its OccTable; build runs only when the memo cannot answer.
+    pumping(cols) asks for a nonzero y >= 0 with sum_i y_i cols[i] = 0,
+    for each trace of a finiteness decision and for rules (a) and (a').
+    solve(key, label) asks for a z >= 0 solving the system a _key names,
+    for finiteness's balance systems, equivalence's held balance systems
+    and its branches; label only names the system for whoever watches
+    solve_system. The callers spread either answer onto their own columns
+    (_spread) and re-check what leaves the decision against the paper's
+    systems.
 
-    The pumping question depends only on the set of distinct columns of
-    rows: a solution over the distinct columns is one over rows once each
-    column's weight goes to its first copy and repeats get 0, and summing
-    a solution over equal columns gives one over the distinct set. Each
-    pumping solve is cached on that set with its witness, which is mapped
-    to the caller's column order and re-checked against the caller's own
-    rows before use: pump-feasible traces whose balance fails come back
-    again and again.
-
-    The other two questions depend only on _system_key, the system over
-    z = x - lower >= 0 with the order, the repeats and the zeros of its
-    columns forgotten; they share one memo of outcomes. feasible answers
-    from it whenever it can: a feasible held system does not end the
-    decision and comes back on many traces. witness answers a cached
-    refutation at once and otherwise solves in full, since its caller
-    needs the solution, and a feasible system ends the decision that asks
-    for one.
+    The pumping question depends only on the set of distinct columns:
+    a solution over them spreads to one over cols, and summing a solution
+    over equal columns gives one over the distinct set. Each pumping
+    solve is cached on that set with its weights, since pump-feasible
+    traces whose balance fails come back again and again. Each key's z,
+    or None for an infeasible key, is cached the same way: a feasible
+    held system does not end the decision and comes back on many traces.
     A solve that runs out of budget is not cached, so a later query with
     the same key tries again, as it would without the memo. Every memo
     holds one entry per distinct system met and lives as long as the
@@ -248,55 +252,41 @@ class _Solves:
     Farkas certificates. A key the memo has not seen is first tried
     against the certificates of earlier refutations with the same
     relations (learn, refutes), and only a key that none refutes is
-    built and solved. Soundness, whatever system y came from (Farkas'
-    lemma, Schrijver 1986, 7.3): say the key's system is A z (rels) b
-    over z >= 0, with y . b > 0, y . c <= 0 for every column c of A and
+    solved. Soundness, whatever system y came from (Farkas' lemma,
+    Schrijver 1986, 7.3): say the key's system is A z (rels) b over
+    z >= 0, with y . b > 0, y . c <= 0 for every column c of A and
     y_r >= 0 on every 'ge' row. For any z >= 0 solving it, y_r A_r z =
     y_r b_r on 'eq' rows and y_r A_r z >= y_r b_r on 'ge' rows, so
     y . A z >= y . b > 0; but y . A z is the sum over c of (y . c) z_c
-    <= 0. So no rational z >= 0 solves it, and no integer one. The key
-    lists every column of the system up to repeats and zero columns,
-    which add nothing to y . A z, so testing its columns suffices.
+    <= 0. So no rational z >= 0 solves it, and no integer one.
     """
 
     def __init__(self, node_budget: int):
         self.node_budget = node_budget
         # distinct pumping columns -> weight per column, or None
-        self._pumps: dict[tuple, dict | None] = {}
-        # _system_key -> whether the system has a solution x >= lower
-        self._systems: dict[tuple, bool] = {}
+        self._pumps: dict[tuple, tuple[int, ...] | None] = {}
+        # key -> a solution z >= 0 of its system, or None
+        self._systems: dict[tuple, tuple[int, ...] | None] = {}
         # relations -> certificates kept for systems with them
         self._farkas: dict[tuple, list[tuple[int, ...]]] = {}
 
-    def pumping(self, rows, m: int) -> tuple[int, ...] | None:
-        """A nonzero y >= 0 with rows . y = 0 over m columns, or None."""
-        cols = _columns(rows, m)
+    def pumping(self, cols) -> tuple[int, ...] | None:
+        """A nonzero y >= 0 with sum_i y_i cols[i] = 0, or None."""
         key = tuple(sorted(set(cols)))
         if key not in self._pumps:
-            result = homogeneous_nontrivial(tuple(zip(*key)), len(key))
-            self._pumps[key] = (dict(zip(key, result.witness))
-                                if result.feasible else None)
+            self._pumps[key] = homogeneous_nontrivial(
+                tuple(zip(*key)), len(key)).witness
         weights = self._pumps[key]
-        if weights is None:
-            return None
-        seen = set()
-        y = []
-        for c in cols:
-            y.append(0 if c in seen else weights[c])
-            seen.add(c)
-        if not is_pumping_witness(rows, y):
-            raise WitnessError("memoised pumping witness failed its re-check")
-        return tuple(y)
+        return None if weights is None else _spread(cols, key, weights)
 
     def learn(self, rels: tuple, y) -> None:
         """Keep y as a certificate to try on systems with relations rels.
         A y of another length than rels is none for their rows, and one
         negative on a 'ge' row could refute a feasible system: neither is
-        kept."""
-        y = tuple(y)
-        if len(y) == len(rels) and all(
+        kept, and nor is None, a refutation without a certificate."""
+        if y is not None and len(y) == len(rels) and all(
                 v >= 0 for v, rel in zip(y, rels) if rel == "ge"):
-            self._farkas.setdefault(rels, []).append(y)
+            self._farkas.setdefault(rels, []).append(tuple(y))
 
     def refutes(self, key: tuple) -> bool:
         """Whether a kept certificate proves key's system infeasible."""
@@ -307,30 +297,36 @@ class _Solves:
                 return True
         return False
 
-    def _known(self, key: tuple) -> bool | None:
-        known = self._systems.get(key)
-        if known is None and self.refutes(key):
-            known = self._systems[key] = False
-        return known
-
-    def _solve(self, key: tuple, system: LinearSystem) -> Feasibility:
-        result = solve_system(system, node_budget=self.node_budget)
-        self._systems[key] = result.feasible
-        if result.certificate is not None:
-            self.learn(key[0], result.certificate)
-        return result
-
-    def feasible(self, key: tuple, build: Callable[[], LinearSystem]) -> bool:
-        known = self._known(key)
-        if known is None:
-            known = self._solve(key, build()).feasible
-        return known
-
-    def witness(self, key: tuple, build: Callable[[], LinearSystem]
-                ) -> tuple[int, ...] | None:
-        if self._known(key) is False:
+    def solve(self, key: tuple, label: str) -> tuple[int, ...] | None:
+        """A z >= 0, one entry per column of key, solving key's system, or
+        None when it has none."""
+        if key in self._systems:
+            return self._systems[key]
+        if self.refutes(key):
+            self._systems[key] = None
             return None
-        return self._solve(key, build()).witness
+        rels, rhs, cols = key
+        coeffs = tuple(tuple(c[r] for c in cols) for r in range(len(rels)))
+        result = solve_system(
+            LinearSystem(coeffs, rels, rhs, (0,) * len(cols), label),
+            node_budget=self.node_budget)
+        self.learn(rels, result.certificate)
+        self._systems[key] = result.witness
+        return result.witness
+
+
+def _recheck_certificate(cert: FinitenessCertificate, p: ParamList,
+                         table: OccTable | None = None
+                         ) -> FinitenessCertificate:
+    """cert, once its x solves the balance system and its y the pumping
+    system of its trace, both built anew (on table, if given); else
+    WitnessError."""
+    T = cert.trace
+    if not build_balance_system(T, p, table).satisfied_by(cert.x):
+        raise WitnessError("balance multiplicities failed their re-check")
+    if not is_pumping_witness(build_pumping_system(T, p, table), cert.y):
+        raise WitnessError("pumping increment failed its re-check")
+    return cert
 
 
 class _TraceChecker:
@@ -348,16 +344,15 @@ class _TraceChecker:
         cycles holds every simple cycle of g once. Soundness: each cycle of
         a trace is one of them, whichever vertex it starts from, and a
         cycle's column sums the suffix indicators over its vertex set, so
-        every column of a trace's pumping matrix is the column of one of
-        cycles. A nonzero y >= 0 in the kernel of the
-        trace's matrix, summed onto those columns, is one of the LP over
-        the distinct columns of cycles. So if that LP is infeasible, every
-        trace fails its pumping test and M(p) is finite, whatever the trace
-        caps would have cut off.
+        every column of a trace's pumping matrix is the pumping column of
+        one of cycles. A nonzero y >= 0 in the kernel of the trace's
+        matrix, summed onto those columns, is one of the LP over the
+        distinct pumping columns of cycles. So if that LP is infeasible,
+        every trace fails its pumping test and M(p) is finite, whatever
+        the trace caps would have cut off.
         """
-        cols = {self.table.column(c) for c in cycles}
-        rows = pumping_rows(cols, self.p.k)
-        return self.solves.pumping(rows, len(cols)) is None
+        cols = {self.table.pumping_column(c) for c in cycles}
+        return self.solves.pumping(cols) is None
 
     def refutes_all_on_automaton(self) -> bool:
         """Rule (a'), rule (a) without the cycle list: True when no nonzero
@@ -365,7 +360,9 @@ class _TraceChecker:
         that is has sum_e f_e * (ind_0 - ind_j)(target of e) = 0 for every
         j, ind being the suffix indicator. A has at most 1 + sum |w| states
         and |alphabet| edges out of each, so the LP stays small where the
-        cycles of the graph are past counting.
+        cycles of the graph are past counting. Edge e's column holds its
+        flow entries, +1 at its target and -1 at its source, then its
+        pumping entries.
 
         Why (a') is exactly rule (a), on the graph D^N with N = p.max_len.
         Map each vertex v of D^N to the state A reaches on reading v from
@@ -388,11 +385,12 @@ class _TraceChecker:
         refutes exactly when (a) does.
         """
         states, edges = pattern_automaton(self.p)
-        flow = [tuple((t == v) - (s == v) for s, t in edges)
-                for v in range(len(states))]
-        cols = [suffix_indicator(states[t], self.p) for _, t in edges]
-        rows = (*flow, *pumping_rows(cols, self.p.k))
-        return self.solves.pumping(rows, len(edges)) is None
+        cols = []
+        for s, t in edges:
+            ind = suffix_indicator(states[t], self.p)
+            cols.append(tuple((t == v) - (s == v) for v in range(len(states)))
+                        + tuple(ind[0] - c for c in ind[1:]))
+        return self.solves.pumping(cols) is None
 
     def check(self, T: OrderedTrace) -> FinitenessCertificate | None:
         """Certificate for T if it satisfies both conditions, else None.
@@ -400,21 +398,22 @@ class _TraceChecker:
         A trace without cycles has nothing to pump and gets None. The
         pumping test is a rational feasibility question and runs first;
         the balance test is the integer one and only runs when pumping
-        holds; its system is keyed off the table and built only when the
-        memo cannot answer.
+        holds. Both read T's columns off the table once; a certificate is
+        re-checked against T's systems before it is returned.
         """
         if not T.cycles:
             return None
-        y = self.solves.pumping(
-            build_pumping_system(T, self.p, table=self.table), len(T.cycles))
+        cols, rhs = _pumped(self.table, T)
+        y = self.solves.pumping(cols)
         if y is None:
             return None
-        x = self.solves.witness(
-            _balance_key(_pumped(self.table, T)),
-            lambda: build_balance_system(T, self.p, table=self.table))
-        if x is None:
+        key = _balance_key(cols, rhs)
+        z = self.solves.solve(key, "balance")
+        if z is None:
             return None
-        return FinitenessCertificate(T, x, y)
+        x = tuple(1 + v for v in _spread(cols, key[2], z))
+        return _recheck_certificate(FinitenessCertificate(T, x, y), self.p,
+                                    self.table)
 
 
 OnTrace = Callable[[OrderedTrace], None]
@@ -565,6 +564,21 @@ def witness_family(cert: FinitenessCertificate, p: ParamList,
     return word
 
 
+def _recheck_branch(T: OrderedTrace, lists: tuple[ParamList, ParamList],
+                    h: int, i: int, x,
+                    tables: tuple[OccTable | None, ...] = (None, None)
+                    ) -> LinearSystem:
+    """Branch i of build_psi_branches(held=h) on T, built anew from the
+    two lists' balance systems (on tables, if given), once x solves it;
+    else WitnessError."""
+    balances = [build_balance_system(T, p, t) for p, t in zip(lists, tables)]
+    branch = build_psi_branches(*balances, held=h)[i]
+    if not branch.satisfied_by(x):
+        raise WitnessError(
+            f"branch multiplicities failed their re-check ({branch.label})")
+    return branch
+
+
 class _Separator:
     """The equivalence check of one decision: two OccTables, one _Solves.
 
@@ -573,15 +587,16 @@ class _Separator:
     of build_psi_branches, or None when every branch is infeasible. Rules
     (c) and (d) skip infeasible branches without changing which one is
     first. Each held balance system and each branch is asked about by
-    its key, read off the tables (_pumped, _branch_keys) in the order of
-    build_psi_branches, and built only when the memo cannot answer it.
+    its key, read off the tables (_pumped, _balance_key, _branch_keys) in
+    the order of build_psi_branches; only the separating branch is built,
+    to re-check its x (_recheck_branch) before its word is realised and
+    checked by membership.
 
     Rule (d), the held pre-check. Every branch holding list h contains
     list h's balance system verbatim, so when that system is infeasible
-    so is every such branch, and they are neither built nor solved. A
-    pre-check that runs out of budget skips nothing: its branches run.
-    Either kind of budget error is raised only when no branch of T
-    separates.
+    so is every such branch, and they are not solved. A pre-check that
+    runs out of budget skips nothing: its branches run. Either kind of
+    budget error is raised only when no branch of T separates.
     """
 
     def __init__(self, g: DeBruijnGraph, p1: ParamList, p2: ParamList,
@@ -590,10 +605,12 @@ class _Separator:
         self.tables = (OccTable(g, p1), OccTable(g, p2))
         self.solves = _Solves(node_budget)
 
-    def _separating(self, T: OrderedTrace, branch: LinearSystem,
+    def _separating(self, T: OrderedTrace, h: int, i: int,
                     x) -> tuple[Word, int]:
-        """The word of T at multiplicities x, re-checked to lie in exactly
-        one language, with the list it belongs to."""
+        """The word of T at multiplicities x, which solve branch i of list
+        h's share, re-checked to lie in exactly one language, with the
+        list it belongs to."""
+        branch = _recheck_branch(T, self.lists, h, i, x, self.tables)
         p1, p2 = self.lists
         word = word_of_walk(T.graph, realize_walk(T, x))
         in1 = is_member(word, p1)
@@ -604,43 +621,26 @@ class _Separator:
                 f"the languages (branch {branch.label!r})")
         return word, 1 if in1 else 2
 
-    def _system(self, T: OrderedTrace, built: dict, h: int,
-                i: int = -1) -> LinearSystem:
-        """List h's balance system on T, or branch i of its held share,
-        each built once per trace and kept in built."""
-        if (h, i) not in built:
-            if i < 0:
-                built[h, i] = build_balance_system(
-                    T, self.lists[h - 1], table=self.tables[h - 1])
-            else:
-                shares = build_psi_branches(self._system(T, built, 1),
-                                            self._system(T, built, 2),
-                                            held=h)
-                built.update(((h, j), b) for j, b in enumerate(shares))
-        return built[h, i]
-
     def check(self, T: OrderedTrace) -> tuple[Word, int] | None:
         pumped = [_pumped(t, T) for t in self.tables]
-        built = {}
         budget = None
         for h in (1, 2):
             try:
-                if not self.solves.feasible(_balance_key(pumped[h - 1]),
-                                            partial(self._system, T, built,
-                                                    h)):
+                if self.solves.solve(_balance_key(*pumped[h - 1]),
+                                     "balance") is None:
                     continue
             except BudgetExceededError as e:
                 budget = e
-            keys = _branch_keys(pumped[h - 1], pumped[2 - h])
-            for i, key in enumerate(keys):
+            keys = _branch_keys(pumped[h - 1], pumped[2 - h], h)
+            for i, (key, cols, label) in enumerate(keys):
                 try:
-                    x = self.solves.witness(
-                        key, partial(self._system, T, built, h, i))
+                    z = self.solves.solve(key, label)
                 except BudgetExceededError as e:
                     budget = e
                     continue
-                if x is not None:
-                    return self._separating(T, built[h, i], x)
+                if z is not None:
+                    return self._separating(
+                        T, h, i, tuple(1 + v for v in _spread(cols, key[2], z)))
         if budget is not None:
             raise budget
         return None

@@ -709,11 +709,17 @@ def build_psi_branches(b1: LinearSystem, b2: LinearSystem,
         if held not in (None, h):
             continue
         for j, (row, s) in enumerate(zip(other.coeffs, other.rhs), 1):
-            for sign, tag in ((1, "above"), (-1, "below")):
+            for sign in (1, -1):
                 branches.append(LinearSystem(
                     kept.coeffs + (tuple(sign * a for a in row),),
                     kept.rels + ("ge",), kept.rhs + (sign * s + 1,),
-                    kept.lower,
-                    label=f"list{h} balanced, other component 0 {tag} "
-                          f"component {j}"))
+                    kept.lower, label=branch_label(h, j, sign)))
     return branches
+
+
+def branch_label(h: int, j: int, sign: int) -> str:
+    """The label of the negation branch that holds list h's balance system
+    while the other list's component 0 lies above (sign 1) or below (sign
+    -1) its component j."""
+    tag = "above" if sign > 0 else "below"
+    return f"list{h} balanced, other component 0 {tag} component {j}"

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: parameter lists from plain strings,
 explicit fixture graphs, a plain-row ILP front end, the Fraction simplex
-reference, small systems and their relaxation over z >= 0, unordered
-traces, multi-traces and the brute-force walk-trace search."""
+reference, small systems, their relaxation over z >= 0 and the key the
+decisions solve them by, unordered traces, multi-traces and the
+brute-force walk-trace search."""
 
 import math
 from collections import Counter
@@ -11,6 +12,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from wordmix import Alphabet, ParamList, word_from_str
+from wordmix.decide import _key
 from wordmix.decomp import Vertex, Walk, dec
 from wordmix.errors import BudgetExceededError
 from wordmix.linarith import (DEFAULT_NODE_BUDGET, Feasibility, LinearSystem,
@@ -172,6 +174,22 @@ def relaxation(system: LinearSystem):
     rhs = [b - sum(a * lo for a, lo in zip(row, system.lower))
            for row, b in zip(system.coeffs, system.rhs)]
     return rows, rhs
+
+
+def system_columns(system: LinearSystem) -> list[tuple[int, ...]]:
+    """The columns of system; empty tuples when it has no rows."""
+    return (list(zip(*system.coeffs)) if system.coeffs
+            else [()] * system.n_vars)
+
+
+def system_key(system: LinearSystem) -> tuple:
+    """The key (decide._key) of system over z = x - lower: its relations,
+    b - A.lower and its columns. The decisions read their keys off the
+    OccTable instead; this one, read off a built system, is what those
+    must equal."""
+    rhs = tuple(b - sum(a * lo for a, lo in zip(row, system.lower))
+                for row, b in zip(system.coeffs, system.rhs))
+    return _key(system.rels, rhs, system_columns(system))
 
 
 def has_indivisible_row(system: LinearSystem) -> bool:

@@ -144,6 +144,14 @@ def test_equiv_equal(capsys):
     assert out == ["equal"]
 
 
+def test_equiv_unknown_on_cap(capsys):
+    code = run(["equiv", "--alphabet", "ab", "--max-traces", "3",
+                "a,b", "--", "b,a"])
+    out, _ = _lines(capsys)
+    assert code == 2
+    assert out == ["unknown (more than 3 traces)"]
+
+
 def test_equiv_json(capsys):
     # flags must come before the positional separator
     code = run(["equiv", "--alphabet", "ab", "--json",
@@ -373,6 +381,20 @@ def test_usage_errors(capsys):
     # negative n
     assert run(["witness", "--alphabet", "ab", "a,b", "--n", "-1"]) == 64
     capsys.readouterr()
+    # a count that is no integer
+    assert run(["finite", "--alphabet", "ab", "--max-traces", "abc",
+                "a,b"]) == 64
+    _, err = _lines(capsys)
+    assert err[-1].endswith("expected an integer >= 0, got 'abc'")
+    # a graph of dimension 0, refused by the graph itself
+    assert run(["graph", "--alphabet", "ab", "--dim", "0"]) == 64
+    _, err = _lines(capsys)
+    assert err == ["error: graph dimension must be at least 1"]
+    # a word to overlay shorter than the dimension
+    assert run(["graph", "--alphabet", "ab", "--dim", "3",
+                "--word", "ab"]) == 64
+    _, err = _lines(capsys)
+    assert err == ["error: --word must be at least 3 symbols long"]
 
 
 @pytest.mark.parametrize("argv", [

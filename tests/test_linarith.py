@@ -101,6 +101,16 @@ def test_solver_budget():
     assert sum(a * v for a, v in zip((5, -3, 2), res.witness)) == 11
 
 
+def test_propagation_keeps_a_box_refutation_small():
+    """An integer-infeasible 3x4 system with a rational solution, so only
+    the box search can refute it. Interval propagation shrinks its boxes
+    enough that 17 nodes do; with _propagate returning each box unchanged
+    the search needs 4049 nodes, and 100 would raise BudgetExceededError."""
+    s = LinearSystem(((-2, 3, -3, 2), (3, 1, 1, -1), (2, -2, 2, -3)),
+                     ("eq",) * 3, (-5, 6, -1), (0, 1, 0, 0))
+    assert not solve_system(s, node_budget=100).feasible
+
+
 def _spy_box_caps(monkeypatch):
     """The cap of every _search_box round, in call order."""
     import wordmix.linarith as linarith

@@ -1,9 +1,9 @@
 """The per-decision rules, checked against independent references: for
 finiteness (a) the all-cycles pumping prune, its form (a') on the pattern
 automaton and (b) skipping cycle-free traces; for both decisions (c) the
-one per-decision solve memo, _Solves, and the system key it answers on;
-plus the witness checks that must survive python -O and the absence of
-cyclic garbage per decision."""
+one per-decision solve memo, _Solves, and the system key it solves; the
+short-cycle ladder past the cycle guard; plus the witness checks that
+must survive python -O and the absence of cyclic garbage per decision."""
 
 import gc
 import itertools
@@ -27,11 +27,12 @@ from wordmix import (BudgetExceededError, CapExceededError, Caps,
 from wordmix.cli import _validate_finiteness_certificate
 from wordmix.debruijn import OccTable
 from wordmix.decide import (_balance_key, _branch_keys, _pumped, _Solves,
-                            _system_key, _TraceChecker)
+                            _spread, _TraceChecker)
 from wordmix.linarith import DEFAULT_NODE_BUDGET, homogeneous_nontrivial
 from wordmix.traces import enumerate_cycles
 
-from conftest import plist, reference_phase1, relaxation, small_systems
+from conftest import (plist, reference_phase1, relaxation, small_systems,
+                      system_columns, system_key)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -79,26 +80,26 @@ def test_n3_lists_settled_by_prune():
 
 
 def test_prune_asks_one_column_per_distinct_cycle_column(monkeypatch):
-    """Rule (a) hands _Solves.pumping one column per distinct occurrence
+    """Rule (a) hands _Solves.pumping one column per distinct pumping
     column of the cycles, not one per simple cycle: on a,b,aab at N=3,
-    14 columns for 19 simple cycles."""
+    11 columns for 19 simple cycles (14 distinct occurrence columns)."""
     p = plist("ab", "a", "b", "aab")
     g = build(p.alphabet, p.max_len)
     table = OccTable(g, p)
     cycles = enumerate_cycles(g)
-    distinct = {table.column(c) for c in cycles}
-    assert (len(distinct), len(cycles)) == (14, 19)
+    distinct = {table.pumping_column(c) for c in cycles}
+    assert (len(distinct), len({table.column(c) for c in cycles}),
+            len(cycles)) == (11, 14, 19)
     asked = []
     pumping = _Solves.pumping
 
-    def spy(self, rows, m):
-        asked.append(sorted(zip(*rows)))
-        return pumping(self, rows, m)
+    def spy(self, cols):
+        asked.append(sorted(cols))
+        return pumping(self, cols)
 
     monkeypatch.setattr(_Solves, "pumping", spy)
     assert decide_finiteness(p).pruned
-    assert asked == [sorted(tuple(c[0] - c[j] for j in range(1, p.k))
-                            for c in distinct)]
+    assert asked == [sorted(distinct)]
 
 
 def _random_lists(seed: int, alphabet: str, max_len: int, count: int):
@@ -146,6 +147,20 @@ def test_rule_a_prime_finite_past_the_guard_agrees_with_oracle():
         elif v.verdict == "infinite":
             _validate_finiteness_certificate(v.certificate, p)
     assert finite >= 3
+
+
+def test_ladder_ends_at_the_rung_whose_cycles_hit_the_guard():
+    """Past the cycle guard, rule (a') does not refute abcdefgh:
+    a,b,...,h,aa, whose only member is the empty word (an a-run of length
+    r holds r - 1 copies of aa), and no trace over short cycles certifies
+    it. Rungs 1-5 check 4 + 16 + 64 + 256 + 1024 traces; rung 6's cycles
+    hit the guard themselves, which ends the ladder with the guard's
+    message."""
+    p = plist("abcdefgh", *"abcdefgh", "aa")
+    assert enumerate_members(p, 4) == [()]
+    v = decide_finiteness(p)
+    assert (v.verdict, v.cap, v.traces_checked) == (
+        "unknown", "more than 100000 rooted cycles", 1364)
 
 
 def test_stream_skips_exactly_the_cycle_free_traces():
@@ -210,10 +225,10 @@ def _system(columns, rels, rhs, lower=None) -> LinearSystem:
 
 
 def _lower_one_key(system: LinearSystem) -> tuple:
-    """The former _system_key, the reference for the one over z = x - lower:
-    for lower bounds all 1, it sorts the columns, drops the zero ones and
-    merges r copies of a column c into one, lowering the right-hand side
-    by (r-1)*c."""
+    """The key as it was before it moved over z = x - lower, the reference
+    for system_key: for lower bounds all 1, it sorts the columns, drops
+    the zero ones and merges r copies of a column c into one, lowering
+    the right-hand side by (r-1)*c."""
     assert all(lo == 1 for lo in system.lower)
     rhs = list(system.rhs)
     cols = Counter(zip(*system.coeffs) if system.coeffs
@@ -269,8 +284,8 @@ def test_system_key_keeps_feasibility(pair):
     (('eq',), (0,), ((1,),)) is feasible over z >= 0 but would not be read
     with lower bounds 1."""
     original, other = pair
-    key = _system_key(original)
-    assert _system_key(other) == key
+    key = system_key(original)
+    assert system_key(other) == key
     rels, rhs, columns = key
     feasible = solve_system(original).feasible
     assert solve_system(other).feasible == feasible
@@ -280,11 +295,12 @@ def test_system_key_keeps_feasibility(pair):
 
 def test_column_keys_equal_the_built_systems_keys():
     """The checks key each trace's balance systems and branches off the
-    OccTable (_pumped, _balance_key, _branch_keys) and build a system only
-    when its key is new. On every trace of seeded binary pairs at N = 1
-    and 2, and the first 300 traces of those at N = 3, those keys equal
-    _system_key of the systems built without the table, branch by branch
-    in build_psi_branches order."""
+    OccTable (_pumped, _balance_key, _branch_keys) and build no system to
+    ask about them. On every trace of seeded binary pairs at N = 1 and 2,
+    and the first 300 traces of those at N = 3, those keys equal the keys
+    of the systems built without the table, and each branch's columns
+    and label equal the built branch's, branch by branch in
+    build_psi_branches order."""
     lists = [p for n in (1, 2, 3) for p in _random_lists(20 + n, "ab", n, 6)]
     pairs = list(zip(lists[::2], lists[1::2]))
     keyed = 0
@@ -297,10 +313,11 @@ def test_column_keys_equal_the_built_systems_keys():
             pumped = [_pumped(t, T) for t in tables]
             balances = [build_balance_system(T, p) for p in (p1, p2)]
             for h in (1, 2):
-                assert _balance_key(pumped[h - 1]) == \
-                    _system_key(balances[h - 1])
-                assert list(_branch_keys(pumped[h - 1], pumped[2 - h])) == [
-                    _system_key(b)
+                assert _balance_key(*pumped[h - 1]) == \
+                    system_key(balances[h - 1])
+                assert list(_branch_keys(pumped[h - 1], pumped[2 - h],
+                                         h)) == [
+                    (system_key(b), system_columns(b), b.label)
                     for b in build_psi_branches(*balances, held=h)]
                 keyed += 1
     assert keyed > 2000
@@ -316,41 +333,44 @@ def test_system_key_partitions_lower_one_systems_as_before(systems):
     for system in systems:
         rels, rhs, cols = _lower_one_key(system)
         shifted = tuple(b - sum(c[i] for c in cols) for i, b in enumerate(rhs))
-        assert _system_key(system) == (rels, shifted, cols)
-    pairs = {(_lower_one_key(s), _system_key(s)) for s in systems}
+        assert system_key(system) == (rels, shifted, cols)
+    pairs = {(_lower_one_key(s), system_key(s)) for s in systems}
     assert len(pairs) == len({old for old, _ in pairs}) \
         == len({new for _, new in pairs})
 
 
-def _ask(ask, solves: _Solves, system: LinearSystem):
-    """ask (_Solves.feasible or witness) about system, keyed as the
-    checks key it."""
-    return ask(solves, _system_key(system), lambda: system)
+def _ask(solves: _Solves, system: LinearSystem):
+    """solves asked about system by its key, as the checks ask, with the
+    answer spread back onto system's columns over its lower bounds."""
+    key = system_key(system)
+    z = solves.solve(key, system.label)
+    if z is None:
+        return None
+    spread = _spread(system_columns(system), key[2], z)
+    return tuple(lo + v for lo, v in zip(system.lower, spread))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_same_key_pair(), st.data())
 def test_solves_answers_as_fresh_solves_do(pair, data):
-    """One _Solves asked feasible or witness about both systems of a
-    pair, in a drawn order, answers as a fresh solve of each would, and
-    every witness it gives solves its own system."""
+    """One _Solves asked about both systems of a pair, in a drawn order,
+    answers as a fresh solve of each would, and every answer it gives,
+    spread onto a system's own columns, solves that system."""
     solves = _Solves(DEFAULT_NODE_BUDGET)
     for which in data.draw(st.permutations([0, 1, 0, 1])):
         system = pair[which]
-        feasible = solve_system(system).feasible
-        if data.draw(st.booleans(), label="witness"):
-            x = _ask(_Solves.witness, solves, system)
-            assert (x is not None) == feasible
-            assert x is None or system.satisfied_by(x)
-        else:
-            assert _ask(_Solves.feasible, solves, system) == feasible
+        x = _ask(solves, system)
+        assert (x is not None) == solve_system(system).feasible
+        assert x is None or system.satisfied_by(x)
 
 
-@pytest.mark.parametrize("ask", [_Solves.feasible, _Solves.witness],
-                         ids=["feasible", "witness"])
-def test_solves_caches_no_budget_error(monkeypatch, ask):
+@pytest.mark.parametrize("system", [_system([(1,)], ["eq"], [2]),
+                                    _system([(1,)], ["eq"], [0])],
+                         ids=["feasible", "infeasible"])
+def test_solves_caches_no_budget_error(monkeypatch, system):
     """A solve out of budget leaves nothing cached, so the next query
-    about the same system solves it; its refutation is then cached."""
+    about the same system solves it; its answer, a solution or a
+    refutation, is then cached."""
     calls = 0
 
     def once(system, **kwargs):
@@ -361,13 +381,13 @@ def test_solves_caches_no_budget_error(monkeypatch, ask):
         return solve_system(system, **kwargs)
 
     monkeypatch.setattr(wordmix.decide, "solve_system", once)
-    infeasible = _system([(1,)], ["eq"], [0])
     solves = _Solves(DEFAULT_NODE_BUDGET)
     with pytest.raises(BudgetExceededError):
-        _ask(ask, solves, infeasible)
-    assert not _ask(ask, solves, infeasible)
+        _ask(solves, system)
+    answer = _ask(solves, system)
+    assert (answer is not None) == solve_system(system).feasible
     assert calls == 2
-    assert not _ask(ask, solves, infeasible)
+    assert _ask(solves, system) == answer
     assert calls == 2
 
 
@@ -387,10 +407,10 @@ def test_kept_certificates_refute_no_feasible_system(system, ys):
     solves = _Solves(DEFAULT_NODE_BUDGET)
     for y in ys:
         solves.learn(system.rels, y)
-    key = _system_key(system)
+    key = system_key(system)
     if solves.refutes(key):
         assert reference_phase1(*relaxation(system)) is None
-        assert not solves.feasible(key, lambda: system)
+        assert solves.solve(key, system.label) is None
         assert not solve_system(system).feasible
 
 
@@ -434,7 +454,9 @@ def test_decisions_leave_no_cyclic_garbage():
 def test_witness_checks_survive_python_O():
     # an unbalanced family, and the CLI's certificate check on a balanced
     # one that does not grow (y = 0) and on one with an x entry too many;
-    # then the solve memo's check on the certificates it keeps
+    # then the solve memo's check on the certificates it keeps; then the
+    # decisions' re-checks of a certificate and of a separating branch,
+    # each passing an answer that holds and refusing it with x tampered
     code = (
         "from wordmix import *\n"
         "from wordmix.cli import _validate_finiteness_certificate\n"
@@ -453,17 +475,28 @@ def test_witness_checks_survive_python_O():
         "        check(cert)\n"
         "    except WitnessError as e:\n"
         "        print('WitnessError', e)\n"
-        "from wordmix.decide import _Solves, _system_key\n"
-        "s = LinearSystem(((1,),), ('ge',), (-1,), (0,))\n"
+        "from wordmix.decide import (_Solves, _key, _recheck_branch,\n"
+        "                            _recheck_certificate)\n"
         "solves = _Solves(10)\n"
-        "solves.learn(s.rels, (-1,))\n"
-        "print('refuted', solves.refutes(_system_key(s)))\n")
+        "solves.learn(('ge',), (-1,))\n"
+        "print('refuted', solves.refutes(_key(('ge',), (-1,), [(1,)])))\n"
+        "q1 = ParamList(p.alphabet, (('a', 'b'), ('b', 'a')))\n"
+        "q2 = ParamList(p.alphabet, (('a', 'a'), ('b', 'b')))\n"
+        "T = is_trace(build(p.alphabet, 2), [(0,), (0, 0)])\n"
+        "for check in (lambda x: _recheck_certificate(\n"
+        "                  FinitenessCertificate(flat.trace, x, (1,)), p),\n"
+        "              lambda x: _recheck_branch(T, (q1, q2), 1, 0, x)):\n"
+        "    check((1,))\n"
+        "    try:\n"
+        "        check((0,))\n"
+        "    except WitnessError as e:\n"
+        "        print('WitnessError', e)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4, proc.stdout
+    assert len(lines) == 6, proc.stdout
     assert lines[0].startswith("WitnessError"), proc.stdout
     assert lines[1] == "WitnessError the pumped word does not grow", \
         proc.stdout
@@ -471,3 +504,10 @@ def test_witness_checks_survive_python_O():
                         "entry per cycle"), proc.stdout
     # a kept certificate negative on a 'ge' row would refute x >= -1
     assert lines[3] == "refuted False", proc.stdout
+    # x = (1,) passes both re-checks (else the run fails); x = (0,) fails
+    # each of them
+    assert lines[4] == ("WitnessError balance multiplicities failed their "
+                        "re-check"), proc.stdout
+    assert lines[5] == ("WitnessError branch multiplicities failed their "
+                        "re-check (list1 balanced, other component 0 above "
+                        "component 1)"), proc.stdout

@@ -105,3 +105,37 @@ def test_every_traced_name_is_reached():
     reached = {span[0] for span in tracer.spans}
     expected = {name for _, _, name in tracer_mod.TARGETS}
     assert reached == expected - {"debruijn.walk_occ"}
+
+
+def _loaded_names(node: ast.AST) -> set[str]:
+    """Names node reads: plain names and attribute names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_library_keeps_no_test_only_helpers():
+    """Every top-level function and class of the library is public (in
+    wordmix.__all__), is the console entry point cli.main, or is read by
+    name somewhere in the library outside its own definition. A helper
+    only the tests call belongs in the tests."""
+    statements = []  # (module, top-level statement, names it reads)
+    for path in sorted((ROOT / "src" / "wordmix").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            statements.append((path.stem, stmt, _loaded_names(stmt)))
+    unused = []
+    for module, stmt, _ in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        name = stmt.name
+        if name in wordmix.__all__ or (module, name) == ("cli", "main"):
+            continue
+        if not any(name in names for _, other, names in statements
+                   if other is not stmt):
+            unused.append(f"{module}.{name}")
+    assert unused == []
